@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
   };
   for (const auto& [label, arm] : algorithms) {
     model::TrainingSpec spec = bench::arm_spec(arm, args);
-    if (spec.algorithm == "dqn") {
+    if (spec.trainer.algorithm == "dqn") {
       // Decay over half the (possibly overridden) budget, as pre-port.
-      spec.dqn.epsilon_decay_epochs = std::max<std::size_t>(args.epochs / 2, 1);
+      spec.trainer.dqn.epsilon_decay_epochs = std::max<std::size_t>(args.epochs / 2, 1);
     }
     const model::TrainOutcome outcome = bench::get_or_train(trace, spec, args);
     Curve c{label, bench::entry_eval_curve(outcome), 0.0};

@@ -4,11 +4,11 @@
 // bench/ablation_rl_algorithm.
 //
 //   ./compare_rl_algorithms [n_jobs] [epochs]
+#include <algorithm>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
 
-#include "core/alt_trainers.h"
 #include "core/rl_backfill.h"
 #include "core/trainer.h"
 #include "sched/scheduler.h"
@@ -41,52 +41,42 @@ int main(int argc, char** argv) {
         .metrics.avg_bounded_slowdown;
   };
 
-  {
-    std::cout << "--- PPO (the paper's algorithm) ---\n";
-    core::TrainerConfig cfg;
+  // One Trainer, one collection protocol; only the algorithm and its
+  // hyperparameter block differ between the three runs.
+  const auto train_and_deploy = [&](const char* title, core::TrainerConfig cfg) {
+    std::cout << "--- " << title << " ---\n";
     cfg.epochs = epochs;
     cfg.trajectories_per_epoch = 40;
-    cfg.ppo.train_iters = 40;
-    cfg.ppo.minibatch_size = 512;
     cfg.eval_every = 1;
     core::Trainer trainer(trace, cfg);
-    trainer.train([](const core::EpochStats& s) {
-      std::cout << "  epoch " << s.epoch << ": reward " << std::setprecision(3)
-                << s.mean_reward << ", greedy eval bsld " << std::setprecision(2)
-                << s.eval_bsld << "\n";
+    trainer.train([&cfg](const core::EpochStats& s) {
+      std::cout << "  epoch " << s.epoch << ": ";
+      if (cfg.algorithm == "ppo") {
+        std::cout << "reward " << std::setprecision(3) << s.mean_reward;
+      } else if (cfg.algorithm == "dqn") {
+        std::cout << "epsilon " << std::setprecision(2) << s.epsilon << ", TD loss "
+                  << std::setprecision(4) << s.loss;
+      } else {
+        std::cout << "policy loss " << std::setprecision(4) << s.loss;
+      }
+      std::cout << ", greedy eval bsld " << std::setprecision(2) << s.eval_bsld << "\n";
     });
     std::cout << "  deployed bsld: " << deploy_bsld(trainer.agent()) << "\n\n";
-  }
-  {
-    std::cout << "--- Double-DQN (the paper's rejected alternative) ---\n";
-    core::DqnTrainerConfig cfg;
-    cfg.epochs = epochs;
-    cfg.trajectories_per_epoch = 40;
-    cfg.dqn.epsilon_decay_epochs = std::max<std::size_t>(epochs / 2, 1);
-    cfg.eval_every = 1;
-    core::DqnTrainer trainer(trace, cfg);
-    trainer.train([](const core::AltEpochStats& s) {
-      std::cout << "  epoch " << s.epoch << ": epsilon " << std::setprecision(2)
-                << s.epsilon << ", TD loss " << std::setprecision(4) << s.loss
-                << ", greedy eval bsld " << std::setprecision(2) << s.eval_bsld
-                << "\n";
-    });
-    std::cout << "  deployed bsld: " << deploy_bsld(trainer.agent()) << "\n\n";
-  }
-  {
-    std::cout << "--- REINFORCE (the classic policy gradient) ---\n";
-    core::ReinforceTrainerConfig cfg;
-    cfg.epochs = epochs;
-    cfg.trajectories_per_epoch = 40;
-    cfg.reinforce.policy_lr = 3e-3;
-    cfg.eval_every = 1;
-    core::ReinforceTrainer trainer(trace, cfg);
-    trainer.train([](const core::AltEpochStats& s) {
-      std::cout << "  epoch " << s.epoch << ": policy loss " << std::setprecision(4)
-                << s.loss << ", greedy eval bsld " << std::setprecision(2)
-                << s.eval_bsld << "\n";
-    });
-    std::cout << "  deployed bsld: " << deploy_bsld(trainer.agent()) << "\n";
-  }
+  };
+
+  core::TrainerConfig ppo;
+  ppo.ppo.train_iters = 40;
+  ppo.ppo.minibatch_size = 512;
+  train_and_deploy("PPO (the paper's algorithm)", ppo);
+
+  core::TrainerConfig dqn;
+  dqn.algorithm = "dqn";
+  dqn.dqn.epsilon_decay_epochs = std::max<std::size_t>(epochs / 2, 1);
+  train_and_deploy("Double-DQN (the paper's rejected alternative)", dqn);
+
+  core::TrainerConfig reinforce;
+  reinforce.algorithm = "reinforce";
+  reinforce.reinforce.policy_lr = 3e-3;
+  train_and_deploy("REINFORCE (the classic policy gradient)", reinforce);
   return 0;
 }

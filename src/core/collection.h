@@ -1,7 +1,6 @@
-// The one sequence-production body behind every trainer (PPO, DQN,
-// REINFORCE), extracted from the formerly-duplicated epoch loops in
-// core::Trainer and core::alt_trainers and driven through the
-// rl::Collector transport seam.
+// The one sequence-production body behind core::Trainer (every
+// algorithm: PPO, DQN, REINFORCE) and the `collect-rollouts` worker,
+// driven through the rl::Collector transport seam.
 //
 // Per sequence: sample `jobs_per_trajectory` consecutive jobs from the
 // training trace, simulate the reward baseline on them (FCFS base +
@@ -25,8 +24,8 @@ struct CollectionContext {
   const swf::Trace* trace = nullptr;
   const sim::PriorityPolicy* policy = nullptr;
   const sim::RuntimeEstimator* estimator = nullptr;
-  /// The epoch's environment, exploration already applied (DQN sets the
-  /// decayed epsilon before collecting).
+  /// The epoch's environment, exploration already applied
+  /// (Learner::prepare_epoch).
   EnvConfig env;
   std::size_t jobs_per_trajectory = 0;
 };

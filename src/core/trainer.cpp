@@ -37,8 +37,8 @@ Trainer::Trainer(swf::Trace trace, const TrainerConfig& config, const Agent& ini
       agent_(initial.clone()),
       policy_(sched::make_policy(config.base_policy)),
       pool_(config.threads),
-      ppo_(agent_.model(), config.ppo, &pool_),
-      rng_(config.seed ^ 0x7261696e65722dull) {
+      learner_(make_learner(config, agent_.model(), &pool_)),
+      rng_(config.seed ^ learner_->rng_salt()) {
   if (trace_.size() < config_.jobs_per_trajectory) {
     throw std::invalid_argument("trainer: trace shorter than one trajectory");
   }
@@ -66,28 +66,26 @@ EpochStats Trainer::run_epoch() {
   ctx.estimator = &estimator_;
   ctx.env = config_.env;
   ctx.jobs_per_trajectory = config_.jobs_per_trajectory;
+  learner_->prepare_epoch(ctx.env, plan);
   std::vector<rl::SequenceResult> results =
       collect_sequences(*collector_, plan, ctx, agent_);
 
-  rl::RolloutBuffer buffer;
   EpochStats stats;
   stats.epoch = ++epoch_;
+  stats.epsilon = plan.epsilon;
   double sum_bsld = 0.0, sum_base = 0.0, sum_reward = 0.0;
-  for (auto& r : results) {
+  for (const auto& r : results) {
     sum_bsld += r.bsld;
     sum_base += r.baseline_bsld;
     sum_reward += r.episode.total_reward();
     stats.steps += r.episode.steps.size();
-    if (!r.episode.steps.empty()) buffer.add_episode(std::move(r.episode));
   }
   const auto n = static_cast<double>(n_traj);
   stats.mean_bsld = sum_bsld / n;
   stats.mean_baseline_bsld = sum_base / n;
   stats.mean_reward = sum_reward / n;
 
-  if (buffer.episode_count() > 0) {
-    stats.ppo = ppo_.update(buffer, rng_);
-  }
+  learner_->update(results, rng_, stats);
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (obs::enabled()) {
@@ -116,11 +114,7 @@ double Trainer::evaluate_greedy() {
 void Trainer::record_epoch_series(const EpochStats& s) const {
   if (series_ == nullptr) return;
   const auto step = static_cast<std::int64_t>(s.epoch);
-  series_->record("train.policy_loss", step, s.ppo.policy_loss);
-  series_->record("train.value_loss", step, s.ppo.value_loss);
-  series_->record("train.entropy", step, s.ppo.entropy);
-  series_->record("train.grad_norm", step, s.ppo.grad_norm);
-  series_->record("train.approx_kl", step, s.ppo.approx_kl);
+  learner_->record_series(*series_, s);
   series_->record("train.mean_reward", step, s.mean_reward);
   series_->record("train.mean_bsld", step, s.mean_bsld);
   series_->record("train.baseline_bsld", step, s.mean_baseline_bsld);
@@ -148,16 +142,17 @@ std::vector<EpochStats> Trainer::train(
         best_model_ = agent_.model().clone();
       }
     }
-    util::log_info("epoch ", s.epoch, " reward=", s.mean_reward,
+    util::log_info(config_.algorithm, " epoch ", s.epoch, " reward=", s.mean_reward,
                    " bsld=", s.mean_bsld, " baseline=", s.mean_baseline_bsld,
-                   " steps=", s.steps, " kl=", s.ppo.approx_kl,
-                   " eval=", s.eval_bsld, " wall=", s.wall_seconds, "s");
+                   " steps=", s.steps, " eval=", s.eval_bsld,
+                   " wall=", s.wall_seconds, "s");
     record_epoch_series(s);
     if (on_epoch) on_epoch(s);
   }
   if (config_.keep_best && best_model_ != nullptr) {
     agent_.model().sync_from(*best_model_);
-    util::log_info("restored best checkpoint (greedy eval bsld=", best_eval_bsld_, ")");
+    util::log_info(config_.algorithm, ": restored best checkpoint (greedy eval bsld=",
+                   best_eval_bsld_, ")");
   }
   return history;
 }

@@ -2,8 +2,9 @@
 // `trajectories_per_epoch` random sequences of `jobs_per_trajectory`
 // consecutive jobs from the training trace, schedule each with the base
 // policy + the sampling TrainingEnv (collected in parallel across a
-// thread pool with per-worker model replicas), then run one PPO update
-// (80 policy/value iterations, lr 1e-3 by default).
+// thread pool with per-worker model replicas), then run one update of
+// the configured algorithm — PPO (80 policy/value iterations, lr 1e-3 by
+// default), or the DQN/REINFORCE ablation arms (core/learner.h).
 //
 // The reward baseline for every sequence — FCFS + SJF-ordered EASY
 // backfilling — is simulated once per sequence inside the worker.
@@ -17,9 +18,12 @@
 
 #include "core/agent.h"
 #include "core/backfill_env.h"
+#include "core/learner.h"
 #include "obs/series.h"
 #include "rl/collect.h"
+#include "rl/dqn.h"
 #include "rl/ppo.h"
+#include "rl/reinforce.h"
 #include "sched/scheduler.h"
 #include "util/thread_pool.h"
 
@@ -30,7 +34,13 @@ struct TrainerConfig {
   std::size_t epochs = 50;
   std::size_t trajectories_per_epoch = 100;  // paper: 100
   std::size_t jobs_per_trajectory = 256;     // paper: 256
+  /// "ppo" (the paper's algorithm) | "dqn" | "reinforce" (ablation A6).
+  std::string algorithm = "ppo";
   rl::PpoConfig ppo;                         // paper: 80 iters, lr 1e-3
+  /// The non-PPO arms' hyperparameters; only the active algorithm's
+  /// block is read.
+  rl::DqnConfig dqn;
+  rl::ReinforceConfig reinforce;
   EnvConfig env;
   AgentConfig agent;
   std::uint64_t seed = 1;
@@ -54,7 +64,10 @@ struct EpochStats {
   double mean_bsld = 0.0;          // mean agent bsld across trajectories
   double mean_baseline_bsld = 0.0; // mean SJF-backfill baseline bsld
   std::size_t steps = 0;           // decisions collected
-  rl::PpoStats ppo;
+  rl::PpoStats ppo;                // PPO update (zero under other algorithms)
+  double loss = 0.0;               // TD Huber loss (DQN) / policy loss (REINFORCE)
+  /// Exploration rate this epoch (DQN); NaN when the algorithm has none.
+  double epsilon = std::numeric_limits<double>::quiet_NaN();
   double wall_seconds = 0.0;
   /// Greedy held-out evaluation bsld; NaN on non-evaluation epochs.
   double eval_bsld = std::numeric_limits<double>::quiet_NaN();
@@ -70,7 +83,7 @@ class Trainer {
   /// precedence over config.agent, which is ignored.
   Trainer(swf::Trace trace, const TrainerConfig& config, const Agent& initial);
 
-  /// Collect one epoch of trajectories and update the agent.
+  /// Collect one epoch of trajectories and run one learner update.
   EpochStats run_epoch();
 
   /// Run config.epochs epochs; `on_epoch` (optional) observes progress.
@@ -86,6 +99,7 @@ class Trainer {
   Agent& agent() { return agent_; }
   const Agent& agent() const { return agent_; }
   const TrainerConfig& config() const { return config_; }
+  const Learner& learner() const { return *learner_; }
 
   /// Swap the rollout transport (borrowed; must outlive the trainer).
   /// nullptr restores the default in-process ThreadCollector. The epoch
@@ -114,7 +128,7 @@ class Trainer {
   util::ThreadPool pool_;
   rl::ThreadCollector thread_collector_{pool_};
   rl::Collector* collector_ = &thread_collector_;
-  rl::Ppo ppo_;
+  std::unique_ptr<Learner> learner_;
   util::Rng rng_;
   std::size_t epoch_ = 0;
   double best_eval_bsld_ = std::numeric_limits<double>::infinity();

@@ -293,7 +293,7 @@ std::vector<std::string> csv_head_fields(const std::string& row,
   return out;
 }
 
-/// Undo exp::json_escape (short escapes + \u00XX).
+/// Undo obs::json::escape (short escapes + \u00XX).
 std::string json_unescape(const std::string& text) {
   std::string out;
   for (std::size_t i = 0; i < text.size(); ++i) {

@@ -1,10 +1,11 @@
 #include "exp/sink.h"
 
 #include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <locale>
 #include <sstream>
+
+#include "obs/json.h"
 
 namespace rlbf::exp {
 
@@ -78,31 +79,6 @@ std::string json_number(double value) {
 
 }  // namespace
 
-std::string json_escape(const std::string& field) {
-  std::string out;
-  for (const char c : field) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        // Remaining control bytes have no short escape and are illegal
-        // raw inside a JSON string — a scenario label containing one
-        // must not poison the whole summary file.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string summary_csv_header() {
   return "scenario,label,seed,jobs,bsld,avg_wait,utilization,backfilled,"
          "killed,ci_lo,ci_hi";
@@ -125,8 +101,8 @@ std::string summary_csv_row(const SummaryRow& row) {
 std::string summary_json_row(const SummaryRow& row) {
   std::ostringstream os;
   os.imbue(std::locale::classic());
-  os << "\"scenario\": \"" << json_escape(row.scenario) << "\", \"label\": \""
-     << json_escape(row.label) << "\", \"seed\": " << row.seed
+  os << "\"scenario\": \"" << obs::json::escape(row.scenario) << "\", \"label\": \""
+     << obs::json::escape(row.label) << "\", \"seed\": " << row.seed
      << ", \"jobs\": " << row.jobs;
   os << ", \"bsld\": " << json_number(row.bsld)
      << ", \"avg_wait\": " << json_number(row.avg_wait)

@@ -52,11 +52,6 @@ std::string format_metric(double value);
 /// Whole-count rendering ("%.0f"; empty string for NaN). C locale.
 std::string format_count(double value);
 
-/// JSON string-content escaping: quotes, backslashes, and every control
-/// byte (\n, \t, \r as short escapes, the rest as \u00XX) — a hostile
-/// scenario label can never emit invalid JSON.
-std::string json_escape(const std::string& field);
-
 /// One canonical rendering per summary row, shared by the plain writers
 /// below and the shard-tagged writers (exp/shard.h) — merged shard
 /// output is byte-identical to an unsharded run by construction. The

@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "core/alt_trainers.h"
 #include "dist/rollout.h"
 #include "exp/config.h"
 #include "obs/metrics.h"
@@ -19,71 +18,6 @@
 #include "util/rng.h"
 
 namespace rlbf::model {
-
-namespace {
-
-TrainProgress from_stats(const core::EpochStats& s) {
-  TrainProgress p;
-  p.epoch = s.epoch;
-  p.mean_reward = s.mean_reward;
-  p.mean_bsld = s.mean_bsld;
-  p.mean_baseline_bsld = s.mean_baseline_bsld;
-  p.steps = s.steps;
-  p.eval_bsld = s.eval_bsld;
-  p.wall_seconds = s.wall_seconds;
-  return p;
-}
-
-TrainProgress from_stats(const core::AltEpochStats& s) {
-  TrainProgress p;
-  p.epoch = s.epoch;
-  p.mean_reward = s.mean_reward;
-  p.mean_bsld = s.mean_bsld;
-  p.mean_baseline_bsld = s.mean_baseline_bsld;
-  p.steps = s.steps;
-  p.eval_bsld = s.eval_bsld;
-  p.wall_seconds = s.wall_seconds;
-  return p;
-}
-
-core::DqnTrainerConfig to_dqn(const core::TrainerConfig& t, const rl::DqnConfig& dqn) {
-  core::DqnTrainerConfig c;
-  c.dqn = dqn;
-  c.base_policy = t.base_policy;
-  c.epochs = t.epochs;
-  c.trajectories_per_epoch = t.trajectories_per_epoch;
-  c.jobs_per_trajectory = t.jobs_per_trajectory;
-  c.env = t.env;
-  c.agent = t.agent;
-  c.seed = t.seed;
-  c.threads = t.threads;
-  c.eval_every = t.eval_every;
-  c.eval_samples = t.eval_samples;
-  c.eval_sample_jobs = t.eval_sample_jobs;
-  c.keep_best = t.keep_best;
-  return c;
-}
-
-core::ReinforceTrainerConfig to_reinforce(const core::TrainerConfig& t,
-                                          const rl::ReinforceConfig& reinforce) {
-  core::ReinforceTrainerConfig c;
-  c.reinforce = reinforce;
-  c.base_policy = t.base_policy;
-  c.epochs = t.epochs;
-  c.trajectories_per_epoch = t.trajectories_per_epoch;
-  c.jobs_per_trajectory = t.jobs_per_trajectory;
-  c.env = t.env;
-  c.agent = t.agent;
-  c.seed = t.seed;
-  c.threads = t.threads;
-  c.eval_every = t.eval_every;
-  c.eval_samples = t.eval_samples;
-  c.eval_sample_jobs = t.eval_sample_jobs;
-  c.keep_best = t.keep_best;
-  return c;
-}
-
-}  // namespace
 
 namespace {
 
@@ -211,102 +145,50 @@ TrainOutcome run_training(const swf::Trace& trace, const TrainingSpec& spec,
     transport.on_event = options.rollout.on_event;
     collector = std::make_unique<dist::ProcessCollector>(std::move(transport));
   }
-  // Installs the transport on a trainer: workers load the learner's
-  // live agent from a per-epoch checkpoint (exact-text model format, so
-  // the round-trip is bit-exact).
-  const auto attach_collector = [&](auto& trainer) {
-    // The series recorder rides along with the transport seam: both are
-    // pure observers the trainers consult per epoch.
-    trainer.set_series(options.series);
-    if (!collector) return;
-    trainer.set_collector(collector.get());
+  std::optional<core::Agent> init;
+  if (!spec.init_agent.empty()) {
+    init.emplace(load_init_agent(spec.init_agent, store, spec.name));
+  }
+  const std::unique_ptr<core::Trainer> trainer =
+      init ? std::make_unique<core::Trainer>(trace, cfg, *init)
+           : std::make_unique<core::Trainer>(trace, cfg);
+  // The series recorder and the transport are pure observers the trainer
+  // consults per epoch. Workers load the learner's live agent from a
+  // per-epoch checkpoint (exact-text model format, so the round-trip is
+  // bit-exact).
+  trainer->set_series(options.series);
+  if (collector) {
+    trainer->set_collector(collector.get());
     collector->set_save_model(
-        [&agent = trainer.agent(), &spec](const std::string& path) {
+        [&agent = trainer->agent(), &spec](const std::string& path) {
           if (!agent.save(path, {{"spec_name", spec.name},
                                  {"rollout_checkpoint", "1"}})) {
             throw std::runtime_error(
                 "rollout transport: cannot write model checkpoint " + path);
           }
         });
-  };
+  }
 
-  // Best-so-far tracking shared by every algorithm branch: the trainers
-  // evaluate the *greedy* policy on held-out sequences, and at an
-  // improving evaluation epoch the live agent IS the best checkpoint.
+  // Best-so-far tracking: the trainer evaluates the *greedy* policy on
+  // held-out sequences, and at an improving evaluation epoch the live
+  // agent IS the best checkpoint.
   double best_eval = std::numeric_limits<double>::infinity();
-  std::size_t epochs_run = 0;
-  // Final-epoch stats and the per-epoch greedy-eval curve are persisted
-  // with the entry, so a cache hit can reproduce everything a bench
-  // prints about the training run without retraining.
-  TrainProgress last;
-  std::vector<double> eval_curve;
-  std::vector<double> reward_curve;
-  std::vector<double> bsld_curve;
   const std::string ckpt = store.checkpoint_path(key);
-  const auto make_observer = [&](const core::Agent& live_agent, auto stats_map) {
-    // Init-capture the referent: capturing the reference PARAMETER by
-    // reference would dangle once make_observer returns.
-    return [&, stats_map, &agent = live_agent](const auto& stats) {
-      const TrainProgress p = stats_map(stats);
-      ++epochs_run;
-      last = p;
-      eval_curve.push_back(p.eval_bsld);
-      reward_curve.push_back(p.mean_reward);
-      bsld_curve.push_back(p.mean_bsld);
-      if (!std::isnan(p.eval_bsld) && p.eval_bsld < best_eval) {
-        best_eval = p.eval_bsld;
-        if (options.checkpoint) {
-          agent.save(ckpt, {{"spec_name", spec.name},
-                            {"checkpoint", "1"},
-                            {"epoch", std::to_string(p.epoch)}});
+  const std::vector<core::EpochStats> history =
+      trainer->train([&](const core::EpochStats& s) {
+        if (!std::isnan(s.eval_bsld) && s.eval_bsld < best_eval) {
+          best_eval = s.eval_bsld;
+          if (options.checkpoint) {
+            trainer->agent().save(ckpt, {{"spec_name", spec.name},
+                                         {"checkpoint", "1"},
+                                         {"epoch", std::to_string(s.epoch)}});
+          }
         }
-      }
-      if (options.on_progress) options.on_progress(spec, p);
-    };
-  };
-
-  std::optional<core::Agent> init;
-  if (!spec.init_agent.empty()) {
-    init.emplace(load_init_agent(spec.init_agent, store, spec.name));
-  }
-
-  const core::Agent* trained = nullptr;
-  std::unique_ptr<core::Trainer> ppo;
-  std::unique_ptr<core::DqnTrainer> dqn;
-  std::unique_ptr<core::ReinforceTrainer> reinforce;
-  if (spec.algorithm == "ppo") {
-    ppo = init ? std::make_unique<core::Trainer>(trace, cfg, *init)
-               : std::make_unique<core::Trainer>(trace, cfg);
-    attach_collector(*ppo);
-    ppo->train(make_observer(
-        ppo->agent(), [](const core::EpochStats& s) { return from_stats(s); }));
-    trained = &ppo->agent();
-  } else if (spec.algorithm == "dqn") {
-    const core::DqnTrainerConfig dcfg = to_dqn(cfg, spec.dqn);
-    dqn = init ? std::make_unique<core::DqnTrainer>(trace, dcfg, *init)
-               : std::make_unique<core::DqnTrainer>(trace, dcfg);
-    attach_collector(*dqn);
-    dqn->train(make_observer(dqn->agent(), [](const core::AltEpochStats& s) {
-      return from_stats(s);
-    }));
-    trained = &dqn->agent();
-  } else if (spec.algorithm == "reinforce") {
-    const core::ReinforceTrainerConfig rcfg = to_reinforce(cfg, spec.reinforce);
-    reinforce = init ? std::make_unique<core::ReinforceTrainer>(trace, rcfg, *init)
-                     : std::make_unique<core::ReinforceTrainer>(trace, rcfg);
-    attach_collector(*reinforce);
-    reinforce->train(make_observer(
-        reinforce->agent(),
-        [](const core::AltEpochStats& s) { return from_stats(s); }));
-    trained = &reinforce->agent();
-  } else {
-    throw std::invalid_argument("training spec '" + spec.name +
-                                "': unknown algorithm '" + spec.algorithm +
-                                "' (known: ppo, dqn, reinforce)");
-  }
+        if (options.on_progress) options.on_progress(spec, s);
+      });
 
   std::map<std::string, std::string> meta;
-  meta["algorithm"] = spec.algorithm;
+  meta["algorithm"] = cfg.algorithm;
   meta["workload"] = spec.workload.workload;
   meta["trace_jobs"] = std::to_string(spec.workload.trace_jobs);
   meta["base_policy"] = cfg.base_policy;
@@ -318,7 +200,11 @@ TrainOutcome run_training(const swf::Trace& trace, const TrainingSpec& spec,
   if (std::isfinite(best_eval)) {
     meta["best_eval_bsld"] = exp::format_double_exact(best_eval);
   }
-  if (epochs_run > 0) {
+  // Final-epoch stats and the per-epoch curves are persisted with the
+  // entry, so a cache hit can reproduce everything a bench prints about
+  // the training run without retraining.
+  if (!history.empty()) {
+    const core::EpochStats& last = history.back();
     meta["final_reward"] = exp::format_double_exact(last.mean_reward);
     meta["final_train_bsld"] = exp::format_double_exact(last.mean_bsld);
     meta["final_steps"] = std::to_string(last.steps);
@@ -326,21 +212,21 @@ TrainOutcome run_training(const swf::Trace& trace, const TrainingSpec& spec,
     // can reprint convergence curves from a cache hit. reward/bsld ride
     // along so `rlbf_run curves --store` can render full training
     // curves without the series sidecar.
-    const auto join_curve = [](const std::vector<double>& values) {
+    const auto join_curve = [&history](double core::EpochStats::*field) {
       std::string curve;
-      for (const double v : values) {
+      for (const core::EpochStats& s : history) {
         if (!curve.empty()) curve += ',';
-        curve += std::isnan(v) ? "nan" : exp::format_double_exact(v);
+        curve += std::isnan(s.*field) ? "nan" : exp::format_double_exact(s.*field);
       }
       return curve;
     };
-    meta["eval_curve"] = join_curve(eval_curve);
-    meta["reward_curve"] = join_curve(reward_curve);
-    meta["bsld_curve"] = join_curve(bsld_curve);
+    meta["eval_curve"] = join_curve(&core::EpochStats::eval_bsld);
+    meta["reward_curve"] = join_curve(&core::EpochStats::mean_reward);
+    meta["bsld_curve"] = join_curve(&core::EpochStats::mean_bsld);
   }
 
-  outcome.entry = store.put(key, *trained, spec.name, meta, canonical);
-  outcome.epochs_run = epochs_run;
+  outcome.entry = store.put(key, trainer->agent(), spec.name, meta, canonical);
+  outcome.epochs_run = history.size();
   if (collector) outcome.rollout_jobs = collector->jobs();
   if (std::isfinite(best_eval)) outcome.best_eval_bsld = best_eval;
   std::error_code ec;

@@ -1,8 +1,8 @@
 // The training executor: resolve a TrainingSpec to a trace (through the
-// exp trace cache), run the right trainer (PPO, or the DQN/REINFORCE
-// ablation arms), checkpoint best-so-far agents next to the store entry,
-// and commit the result under the spec's fingerprint. A second call with
-// an equal fingerprint is a cache hit and runs nothing.
+// exp trace cache), run core::Trainer under the spec's algorithm (PPO, or
+// the DQN/REINFORCE ablation arms), checkpoint best-so-far agents next to
+// the store entry, and commit the result under the spec's fingerprint. A
+// second call with an equal fingerprint is a cache hit and runs nothing.
 //
 // resolve_agent() is the deployment-side counterpart: it turns the agent
 // reference a ScenarioSpec carries (training-spec name, store key, or
@@ -28,19 +28,6 @@ class SeriesRecorder;
 
 namespace rlbf::model {
 
-/// Algorithm-independent per-epoch progress (core::EpochStats and
-/// core::AltEpochStats both map onto this).
-struct TrainProgress {
-  std::size_t epoch = 0;
-  double mean_reward = 0.0;
-  double mean_bsld = 0.0;
-  double mean_baseline_bsld = 0.0;
-  std::size_t steps = 0;
-  /// Greedy held-out evaluation bsld; NaN on non-evaluation epochs.
-  double eval_bsld = std::numeric_limits<double>::quiet_NaN();
-  double wall_seconds = 0.0;
-};
-
 struct TrainOptions {
   /// Worker threads for collection/updates; 0 = the spec's setting (which
   /// usually means hardware concurrency). Runtime-only: results and
@@ -53,7 +40,7 @@ struct TrainOptions {
   /// even if interrupted; the checkpoint is removed on commit.
   bool checkpoint = true;
   /// Observes every epoch of every spec (progress tables, logging).
-  std::function<void(const TrainingSpec&, const TrainProgress&)> on_progress;
+  std::function<void(const TrainingSpec&, const core::EpochStats&)> on_progress;
   /// Time-series recorder attached to every trainer (borrowed; must
   /// outlive the call). Each epoch records the train.* curves keyed by
   /// epoch number (--series_out). nullptr records nothing; recording is
@@ -126,8 +113,8 @@ struct TrainOutcome {
 };
 
 /// Train one spec into the store (or return the cached entry). Throws
-/// std::invalid_argument on unknown algorithms and propagates trainer
-/// and store errors.
+/// std::invalid_argument on unknown algorithms (core::make_learner) and
+/// propagates trainer and store errors.
 TrainOutcome train_spec(const TrainingSpec& spec, Store& store,
                         const TrainOptions& options = {});
 

@@ -43,7 +43,7 @@ std::string canonical_string(const TrainingSpec& spec) {
   put(os, "seed", t.seed);
   // Algorithm. Enum-valued knobs render as their underlying integers;
   // reordering those enums is a format change, like renaming a field.
-  put(os, "algorithm", spec.algorithm);
+  put(os, "algorithm", t.algorithm);
   // Trainer protocol.
   put(os, "base_policy", t.base_policy);
   put(os, "epochs", t.epochs);
@@ -89,8 +89,8 @@ std::string canonical_string(const TrainingSpec& spec) {
   // Non-PPO hyperparameter blocks render only under their own algorithm:
   // a PPO spec does not depend on them, so they must not fork its
   // content address (and v1 PPO fingerprints stay valid).
-  if (spec.algorithm == "dqn") {
-    const rl::DqnConfig& d = spec.dqn;
+  if (t.algorithm == "dqn") {
+    const rl::DqnConfig& d = t.dqn;
     put(os, "dqn.gamma", d.gamma);
     put(os, "dqn.lr", d.lr);
     put(os, "dqn.batch_size", d.batch_size);
@@ -104,8 +104,8 @@ std::string canonical_string(const TrainingSpec& spec) {
     put(os, "dqn.epsilon_start", d.epsilon_start);
     put(os, "dqn.epsilon_end", d.epsilon_end);
     put(os, "dqn.epsilon_decay_epochs", d.epsilon_decay_epochs);
-  } else if (spec.algorithm == "reinforce") {
-    const rl::ReinforceConfig& r = spec.reinforce;
+  } else if (t.algorithm == "reinforce") {
+    const rl::ReinforceConfig& r = t.reinforce;
     put(os, "reinforce.gamma", r.gamma);
     put(os, "reinforce.lambda", r.lambda);
     put(os, "reinforce.policy_lr", r.policy_lr);
@@ -325,19 +325,20 @@ void register_ablation_arms(TrainingRegistry& registry) {
   }
   {
     auto s = ablation_spec("abl-rl-dqn", "A6 Double-DQN arm");
-    s.algorithm = "dqn";
+    s.trainer.algorithm = "dqn";
     s.trainer.epochs = 12;
     s.trainer.eval_every = 1;
-    s.dqn.epsilon_decay_epochs = 6;  // half the budget, as in the bench
+    s.trainer.dqn.epsilon_decay_epochs = 6;  // half the budget, as in the bench
     registry.add(s);
   }
   {
     auto s = ablation_spec("abl-rl-reinforce", "A6 REINFORCE arm");
-    s.algorithm = "reinforce";
+    s.trainer.algorithm = "reinforce";
     s.trainer.epochs = 12;
     s.trainer.eval_every = 1;
-    s.reinforce.policy_lr = 3e-3;  // one gradient step per epoch needs a
-                                   // faster rate than PPO's reused batches
+    // One gradient step per epoch needs a faster rate than PPO's reused
+    // batches.
+    s.trainer.reinforce.policy_lr = 3e-3;
     registry.add(s);
   }
 
@@ -383,14 +384,14 @@ void register_builtins(TrainingRegistry& registry) {
     auto s = paper_spec("sdsc-fcfs-dqn",
                         "Ablation arm: DQN under the PPO data-collection protocol",
                         "SDSC-SP2", "FCFS");
-    s.algorithm = "dqn";
+    s.trainer.algorithm = "dqn";
     registry.add(s);
   }
   {
     auto s = paper_spec("sdsc-fcfs-reinforce",
                         "Ablation arm: REINFORCE (single policy-gradient step)",
                         "SDSC-SP2", "FCFS");
-    s.algorithm = "reinforce";
+    s.trainer.algorithm = "reinforce";
     registry.add(s);
   }
   register_ablation_arms(registry);

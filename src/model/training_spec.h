@@ -20,8 +20,6 @@
 
 #include "core/trainer.h"
 #include "exp/scenario.h"
-#include "rl/dqn.h"
-#include "rl/reinforce.h"
 
 namespace rlbf::model {
 
@@ -35,20 +33,14 @@ struct TrainingSpec {
   /// side. The trace seed is trainer.seed.
   exp::ScenarioSpec workload;
 
-  /// "ppo" (core::Trainer) | "dqn" | "reinforce" (core/alt_trainers.h).
-  /// Non-PPO arms reuse the shared TrainerConfig fields below plus their
-  /// algorithm's hyperparameter block (`dqn` / `reinforce`).
-  std::string algorithm = "ppo";
-
-  /// The full trainer protocol, agent architecture included.
-  /// trainer.threads is a runtime knob, never part of the fingerprint.
+  /// The full trainer protocol: algorithm (trainer.algorithm selects
+  /// PPO or the DQN/REINFORCE arms), hyperparameters, and agent
+  /// architecture. trainer.threads is a runtime knob, never part of the
+  /// fingerprint; the non-PPO hyperparameter blocks (trainer.dqn /
+  /// trainer.reinforce) are fingerprinted only under their own algorithm
+  /// (a PPO spec genuinely does not depend on them, so they must not
+  /// fork its content address).
   core::TrainerConfig trainer;
-
-  /// Algorithm hyperparameters for the non-PPO arms. Fingerprinted only
-  /// under their own algorithm (a PPO spec genuinely does not depend on
-  /// them, so they must not fork its content address).
-  rl::DqnConfig dqn;
-  rl::ReinforceConfig reinforce;
 
   /// Warm start (the Table-5 fine-tuning setting): an agent reference —
   /// store key, registered spec name, or model file path — whose weights

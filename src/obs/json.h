@@ -1,4 +1,5 @@
-// A minimal JSON reader for the observability sinks this repo emits —
+// A minimal JSON reader (and the one string escaper every writer shares)
+// for the observability sinks this repo emits —
 // metrics registry dumps, Chrome trace_event documents, and bench
 // reports. It exists so obs::merge / obs::profile / `rlbf_run bench
 // --compare` can consume those files without an external dependency,
@@ -54,5 +55,10 @@ class Value {
 /// trailing garbage is an error). `origin` names the document in every
 /// error message — pass the file path.
 Value parse(const std::string& text, const std::string& origin = "json");
+
+/// JSON string-content escaping: quotes, backslashes, and every control
+/// byte (\n, \t, \r as short escapes, the rest as \u00XX), so no name,
+/// label, tag or path can make a writer emit invalid JSON.
+std::string escape(const std::string& text);
 
 }  // namespace rlbf::obs::json

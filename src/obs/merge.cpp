@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -15,29 +14,6 @@
 namespace rlbf::obs {
 
 namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Locale-independent double parse for the "le" bound strings the
 /// histogram dump emits ("1e999" overflow maps back to inf).
@@ -199,27 +175,27 @@ MergedMetrics merge_metrics(const std::vector<LabeledMetrics>& docs) {
 void write_merged_metrics_json(std::ostream& os, const MergedMetrics& merged) {
   os << "{\n  \"sources\": [";
   for (std::size_t i = 0; i < merged.sources.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << "\"" << escape(merged.sources[i]) << "\"";
+    os << (i == 0 ? "" : ", ") << "\"" << json::escape(merged.sources[i]) << "\"";
   }
   os << "],\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : merged.counters) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape(name)
+    os << (first ? "\n" : ",\n") << "    \"" << json::escape(name)
        << "\": " << value;
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, gauge] : merged.gauges) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape(name)
+    os << (first ? "\n" : ",\n") << "    \"" << json::escape(name)
        << "\": {\"value\": " << format_number(gauge.value) << ", \"source\": \""
-       << escape(gauge.source) << "\"}";
+       << json::escape(gauge.source) << "\"}";
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, snap] : merged.histograms) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape(name) << "\": ";
+    os << (first ? "\n" : ",\n") << "    \"" << json::escape(name) << "\": ";
     write_histogram_json(os, snap);
     first = false;
   }
@@ -387,12 +363,12 @@ void write_spliced_trace_json(std::ostream& os, const SplicedTrace& spliced) {
   for (const SplicedTrace::Process& proc : spliced.processes) {
     os << (first ? "\n" : ",\n") << "  {\"name\": \"process_name\", "
        << "\"ph\": \"M\", \"pid\": " << proc.pid
-       << ", \"args\": {\"name\": \"" << escape(proc.name) << "\"}}";
+       << ", \"args\": {\"name\": \"" << json::escape(proc.name) << "\"}}";
     first = false;
   }
   for (const PidTraceEvent& ev : spliced.events) {
-    os << (first ? "\n" : ",\n") << "  {\"name\": \"" << escape(ev.event.name)
-       << "\", \"cat\": \"" << escape(ev.event.category)
+    os << (first ? "\n" : ",\n") << "  {\"name\": \"" << json::escape(ev.event.name)
+       << "\", \"cat\": \"" << json::escape(ev.event.category)
        << "\", \"ph\": \"X\", \"ts\": " << ev.event.ts_us
        << ", \"dur\": " << ev.event.dur_us << ", \"pid\": " << ev.pid
        << ", \"tid\": " << ev.event.tid << "}";

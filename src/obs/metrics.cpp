@@ -3,43 +3,19 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.h"
+
 namespace rlbf::obs {
 
 namespace {
 
 std::atomic<bool> g_enabled{false};
-
-/// Minimal JSON string escaping; metric names are programmer-chosen but
-/// a stray quote must never produce an invalid dump.
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Lock-free max/min update over std::atomic<double>.
 void update_min(std::atomic<double>& slot, double v) {
@@ -325,21 +301,21 @@ void Registry::write_json(std::ostream& os) const {
   os << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, metric] : im.counters) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape(name)
+    os << (first ? "\n" : ",\n") << "    \"" << json::escape(name)
        << "\": " << metric.value();
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, metric] : im.gauges) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape(name)
+    os << (first ? "\n" : ",\n") << "    \"" << json::escape(name)
        << "\": " << format_number(metric.value());
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, metric] : im.histograms) {
-    os << (first ? "\n" : ",\n") << "    \"" << escape(name) << "\": ";
+    os << (first ? "\n" : ",\n") << "    \"" << json::escape(name) << "\": ";
     write_histogram_json(os, metric.snapshot());
     first = false;
   }

@@ -1,7 +1,6 @@
 #include "obs/series.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,29 +12,6 @@
 namespace rlbf::obs {
 
 namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
@@ -126,11 +102,11 @@ void write_series_jsonl(std::ostream& os, const std::vector<Series>& series,
      << epoch_anchor_us << "}\n";
   for (const Series& s : series) {
     for (const SeriesPoint& p : s.points) {
-      os << "{\"series\": \"" << escape(s.name) << "\", \"step\": " << p.step
+      os << "{\"series\": \"" << json::escape(s.name) << "\", \"step\": " << p.step
          << ", \"value\": " << format_number(p.value)
          << ", \"wall_us\": " << p.wall_us;
       if (!s.source.empty()) {
-        os << ", \"source\": \"" << escape(s.source) << "\"";
+        os << ", \"source\": \"" << json::escape(s.source) << "\"";
       }
       os << "}\n";
     }

@@ -2,12 +2,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <utility>
+
+#include "obs/json.h"
 
 namespace rlbf::obs {
 
@@ -87,29 +88,6 @@ void record(std::string name, const char* category, std::int64_t ts_us,
   ev.tid = buf.tid;
   std::lock_guard<std::mutex> lock(buf.mu);
   buf.events.push_back(std::move(ev));
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -197,8 +175,8 @@ void write_trace_json(std::ostream& os) {
   os << "{\"traceEvents\": [";
   bool first = true;
   for (const TraceEvent& ev : events) {
-    os << (first ? "\n" : ",\n") << "  {\"name\": \"" << escape(ev.name)
-       << "\", \"cat\": \"" << escape(ev.category)
+    os << (first ? "\n" : ",\n") << "  {\"name\": \"" << json::escape(ev.name)
+       << "\", \"cat\": \"" << json::escape(ev.category)
        << "\", \"ph\": \"X\", \"ts\": " << ev.ts_us
        << ", \"dur\": " << ev.dur_us << ", \"pid\": 1, \"tid\": " << ev.tid
        << "}";

@@ -119,19 +119,15 @@ class FeatureCache {
 
 /// Compute the reservation for `rjob` against the current running set.
 /// Estimated ends that already elapsed (under-predictions) are treated as
-/// "due now" (clamped to now + 1).
+/// "due now" (clamped to now + 1). The hot path passes a `cache` of
+/// memoized runtime estimates and a caller-owned `scratch` snapshot
+/// buffer; either may be null. The result is bit-identical either way —
+/// the snapshot preserves heap pop order, so the unstable sort over
+/// estimated ends sees the same input sequence.
 Reservation compute_reservation(const ClusterState& cluster, const swf::Trace& trace,
                                 const swf::Job& rjob, const RuntimeEstimator& estimator,
-                                std::int64_t now);
-
-/// Hot-path variant: reuses a caller-owned snapshot buffer and (when
-/// `cache` is non-null) memoized runtime estimates. Bit-identical to the
-/// plain overload — the snapshot preserves heap pop order, so the
-/// unstable sort over estimated ends sees the same input sequence.
-Reservation compute_reservation(const ClusterState& cluster, const swf::Trace& trace,
-                                const swf::Job& rjob, const RuntimeEstimator& estimator,
-                                std::int64_t now, FeatureCache* cache,
-                                std::vector<RunningJob>& scratch);
+                                std::int64_t now, FeatureCache* cache = nullptr,
+                                std::vector<RunningJob>* scratch = nullptr);
 
 /// Everything a chooser may inspect when picking a backfill candidate.
 struct BackfillContext {

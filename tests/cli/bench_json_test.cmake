@@ -19,8 +19,11 @@ cmake_policy(SET CMP0057 NEW)  # IN_LIST in if(); script mode sets no policies
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
+# The tag carries a quote and a backslash: every string the report
+# writes must be JSON-escaped, or the gate's own reader rejects it.
+set(tag "x\"y\\z")
 execute_process(
-  COMMAND "${RLBF_RUN}" bench --quick --jobs=500 --dist_jobs=100
+  COMMAND "${RLBF_RUN}" bench --quick --jobs=500 --dist_jobs=100 "--tag=${tag}"
           --out=bench.json --metrics_out=metrics.json --trace_out=trace.json
   WORKING_DIRECTORY "${WORK_DIR}"
   OUTPUT_VARIABLE out
@@ -72,7 +75,14 @@ if(json_err OR NOT schema_version EQUAL 3)
 else()
   message(STATUS "bench report: schema_version = 3")
 endif()
-require_member(bench "bench report" source tag)
+string(JSON tag_back ERROR_VARIABLE json_err GET "${bench}" source tag)
+if(json_err OR NOT tag_back STREQUAL tag)
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "bench report: source.tag should read back as '${tag}', "
+                  "got '${tag_back}' ${json_err}")
+else()
+  message(STATUS "bench report: source.tag round-trips '${tag}'")
+endif()
 require_member(bench "bench report" source platform)
 require_member(bench "bench report" source libm)
 require_member(bench "bench report" config scenario)
@@ -149,6 +159,34 @@ else()
       message(STATUS "trace: '${cat}' layer spans present")
     endif()
   endforeach()
+endif()
+
+# ---- the gate reads the report back, and its verdict names the two
+# reports: file names with a quote and a backslash must survive both.
+set(odd_path "b\"a\\se.json")
+execute_process(COMMAND ${CMAKE_COMMAND} -E copy "${WORK_DIR}/bench.json"
+                                         "${WORK_DIR}/${odd_path}")
+execute_process(
+  COMMAND "${RLBF_RUN}" bench "--compare=${odd_path}" --candidate=bench.json
+          --verdict_out=verdict.json
+  WORKING_DIRECTORY "${WORK_DIR}"
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "bench --compare of the report against itself: expected "
+                  "exit 0, got '${rc}'\n${out}\n${err}")
+else()
+  file(READ "${WORK_DIR}/verdict.json" verdict)
+  string(JSON base_back ERROR_VARIABLE json_err GET "${verdict}" base)
+  if(json_err OR NOT base_back STREQUAL odd_path)
+    math(EXPR failures "${failures} + 1")
+    message(WARNING "verdict: base should read back as '${odd_path}', got "
+                    "'${base_back}' ${json_err}")
+  else()
+    message(STATUS "bench --compare: exit 0, verdict base round-trips")
+  endif()
 endif()
 
 if(failures GREATER 0)

@@ -7,6 +7,10 @@
 #      (--rollout_workers=3 --inject_fail=1:1) produces byte-identical
 #      stores: same keys (= content-address fingerprints), same .model
 #      bytes, same .spec bytes.
+#      The DQN and REINFORCE arms (abl-rl-dqn, abl-rl-reinforce) train
+#      byte-identically at --rollout_workers=0 and =2 too: workers
+#      reproduce each algorithm's per-epoch selection mode and DQN's
+#      decayed exploration rate.
 #   2. The injected failure and its retry show up in the supervisor log,
 #      and the rollout scratch directory is cleaned up on success
 #      (kept under --keep_work, holding the worker obs sidecars).
@@ -154,6 +158,35 @@ foreach(arm w1 w3)
   compare_store_payload("${arm} store payload vs sequential"
                         "${WORK_DIR}/store_seq" "${WORK_DIR}/store_${arm}")
 endforeach()
+
+# The non-PPO arms: at this budget DQN's replay fills past min_replay in
+# epoch 1, so every epoch takes real gradient steps through the workers.
+foreach(arm abl-rl-dqn abl-rl-reinforce)
+  set(budget --spec=${arm} --epochs=3 --trajectories=16 --traj_jobs=256
+      --jobs=2000 --quiet)
+  run_or_fail("${arm} sequential" train ${budget} --store=store_${arm}_w0
+              --series_out=${arm}.series.jsonl)
+  run_or_fail("${arm} 2 rollout workers" train ${budget}
+              --store=store_${arm}_w2 --rollout_workers=2)
+  store_signature(w0_sig "${WORK_DIR}/store_${arm}_w0")
+  store_signature(w2_sig "${WORK_DIR}/store_${arm}_w2")
+  if(NOT "${w0_sig}" STREQUAL "" AND "${w0_sig}" STREQUAL "${w2_sig}")
+    message(STATUS "${arm} keys+fingerprints at 0 == 2 workers: ok")
+  else()
+    math(EXPR failures "${failures} + 1")
+    message(WARNING "${arm} store keys differ:\nw0: ${w0_sig}\nw2: ${w2_sig}")
+  endif()
+  compare_store_payload("${arm} store payload, 2 workers vs sequential"
+                        "${WORK_DIR}/store_${arm}_w0" "${WORK_DIR}/store_${arm}_w2")
+endforeach()
+file(STRINGS "${WORK_DIR}/abl-rl-dqn.series.jsonl" dqn_loss
+     REGEX "\"train\\.loss\", \"step\": 1,")
+if(NOT dqn_loss MATCHES "\"value\": " OR dqn_loss MATCHES "\"value\": 0,")
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "abl-rl-dqn took no gradient step in epoch 1: '${dqn_loss}'")
+else()
+  message(STATUS "abl-rl-dqn trains from epoch 1: ${dqn_loss}")
+endif()
 
 # ---- 2. scratch lifecycle and worker observability sidecars ----------
 if(EXISTS "${WORK_DIR}/store_w3.rollouts")

@@ -13,7 +13,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/alt_trainers.h"
 #include "core/trainer.h"
 #include "util/log.h"
 #include "workload/presets.h"
@@ -50,9 +49,9 @@ class CollectionParityTest : public ::testing::Test {
 
 /// Shared shrunken budget: 2 epochs of 6×64-job sequences, evaluation
 /// off (held-out evals add wall time but no transport coverage).
-template <typename Config>
-Config tiny(std::size_t threads) {
-  Config cfg;
+TrainerConfig tiny(const std::string& algorithm, std::size_t threads) {
+  TrainerConfig cfg;
+  cfg.algorithm = algorithm;
   cfg.epochs = 2;
   cfg.trajectories_per_epoch = 6;
   cfg.jobs_per_trajectory = 64;
@@ -66,7 +65,7 @@ Config tiny(std::size_t threads) {
 
 TEST_F(CollectionParityTest, PpoEpochsAreBitIdenticalAcrossThreadCounts) {
   const swf::Trace trace = workload::sdsc_sp2_like(2, 1500);
-  auto cfg1 = tiny<TrainerConfig>(1);
+  auto cfg1 = tiny("ppo", 1);
   cfg1.ppo.train_iters = 5;
   cfg1.ppo.minibatch_size = 128;
   auto cfg2 = cfg1;
@@ -89,14 +88,14 @@ TEST_F(CollectionParityTest, PpoEpochsAreBitIdenticalAcrossThreadCounts) {
 
 TEST_F(CollectionParityTest, DqnEpochsAreBitIdenticalAcrossThreadCounts) {
   const swf::Trace trace = workload::sdsc_sp2_like(3, 1500);
-  const auto cfg1 = tiny<DqnTrainerConfig>(1);
+  const auto cfg1 = tiny("dqn", 1);
   auto cfg2 = cfg1;
   cfg2.threads = 2;
-  DqnTrainer a(trace, cfg1);
-  DqnTrainer b(trace, cfg2);
+  Trainer a(trace, cfg1);
+  Trainer b(trace, cfg2);
   for (std::size_t epoch = 0; epoch < 2; ++epoch) {
-    const AltEpochStats sa = a.run_epoch();
-    const AltEpochStats sb = b.run_epoch();
+    const EpochStats sa = a.run_epoch();
+    const EpochStats sb = b.run_epoch();
     EXPECT_EQ(sa.epoch, sb.epoch);
     EXPECT_EQ(sa.steps, sb.steps);
     EXPECT_TRUE(bits_equal(sa.mean_reward, sb.mean_reward));
@@ -110,14 +109,14 @@ TEST_F(CollectionParityTest, DqnEpochsAreBitIdenticalAcrossThreadCounts) {
 
 TEST_F(CollectionParityTest, ReinforceEpochsAreBitIdenticalAcrossThreadCounts) {
   const swf::Trace trace = workload::lublin_1(4, 1200);
-  const auto cfg1 = tiny<ReinforceTrainerConfig>(1);
+  const auto cfg1 = tiny("reinforce", 1);
   auto cfg2 = cfg1;
   cfg2.threads = 2;
-  ReinforceTrainer a(trace, cfg1);
-  ReinforceTrainer b(trace, cfg2);
+  Trainer a(trace, cfg1);
+  Trainer b(trace, cfg2);
   for (std::size_t epoch = 0; epoch < 2; ++epoch) {
-    const AltEpochStats sa = a.run_epoch();
-    const AltEpochStats sb = b.run_epoch();
+    const EpochStats sa = a.run_epoch();
+    const EpochStats sb = b.run_epoch();
     EXPECT_EQ(sa.epoch, sb.epoch);
     EXPECT_EQ(sa.steps, sb.steps);
     EXPECT_TRUE(bits_equal(sa.mean_reward, sb.mean_reward));
@@ -133,7 +132,7 @@ TEST_F(CollectionParityTest, SwappingInAnEquivalentCollectorChangesNothing) {
   // an externally-supplied ThreadCollector must reproduce the built-in
   // default exactly, and nullptr must restore the default.
   const swf::Trace trace = workload::sdsc_sp2_like(5, 1500);
-  auto cfg = tiny<TrainerConfig>(2);
+  auto cfg = tiny("ppo", 2);
   cfg.ppo.train_iters = 5;
   cfg.ppo.minibatch_size = 128;
   Trainer with_default(trace, cfg);

@@ -1,18 +1,23 @@
-#include "core/alt_trainers.h"
+// The DQN and REINFORCE ablation arms, trained through the one
+// core::Trainer loop behind their Learners (the suite keeps its
+// historical AltTrainersTest name).
+#include "core/learner.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/networks.h"
+#include "core/trainer.h"
 #include "util/log.h"
 #include "workload/presets.h"
 
 namespace rlbf::core {
 namespace {
 
-DqnTrainerConfig tiny_dqn_config() {
-  DqnTrainerConfig cfg;
+TrainerConfig tiny_dqn_config() {
+  TrainerConfig cfg;
+  cfg.algorithm = "dqn";
   cfg.epochs = 2;
   cfg.trajectories_per_epoch = 8;
   cfg.jobs_per_trajectory = 96;
@@ -25,8 +30,9 @@ DqnTrainerConfig tiny_dqn_config() {
   return cfg;
 }
 
-ReinforceTrainerConfig tiny_reinforce_config() {
-  ReinforceTrainerConfig cfg;
+TrainerConfig tiny_reinforce_config() {
+  TrainerConfig cfg;
+  cfg.algorithm = "reinforce";
   cfg.epochs = 2;
   cfg.trajectories_per_epoch = 8;
   cfg.jobs_per_trajectory = 96;
@@ -43,22 +49,22 @@ class AltTrainersTest : public ::testing::Test {
   void TearDown() override { util::set_log_level(util::LogLevel::Info); }
 };
 
-// ---------------------------------------------------------- DqnTrainer --
+// ---------------------------------------------------------------- DQN --
 
 TEST_F(AltTrainersTest, DqnRejectsDegenerateConfigs) {
   const swf::Trace trace = workload::lublin_1(1, 200);
-  DqnTrainerConfig cfg = tiny_dqn_config();
+  TrainerConfig cfg = tiny_dqn_config();
   cfg.jobs_per_trajectory = 500;
-  EXPECT_THROW(DqnTrainer(trace, cfg), std::invalid_argument);
+  EXPECT_THROW(Trainer(trace, cfg), std::invalid_argument);
   cfg = tiny_dqn_config();
   cfg.trajectories_per_epoch = 0;
-  EXPECT_THROW(DqnTrainer(trace, cfg), std::invalid_argument);
+  EXPECT_THROW(Trainer(trace, cfg), std::invalid_argument);
 }
 
 TEST_F(AltTrainersTest, DqnEpochProducesSaneStats) {
   const swf::Trace trace = workload::sdsc_sp2_like(2, 1500);
-  DqnTrainer trainer(trace, tiny_dqn_config());
-  const AltEpochStats s = trainer.run_epoch();
+  Trainer trainer(trace, tiny_dqn_config());
+  const EpochStats s = trainer.run_epoch();
   EXPECT_EQ(s.epoch, 1u);
   EXPECT_GT(s.steps, 0u);
   EXPECT_GT(s.mean_bsld, 0.0);
@@ -69,9 +75,9 @@ TEST_F(AltTrainersTest, DqnEpochProducesSaneStats) {
 
 TEST_F(AltTrainersTest, DqnEpsilonDecaysAcrossEpochs) {
   const swf::Trace trace = workload::lublin_1(3, 1200);
-  DqnTrainerConfig cfg = tiny_dqn_config();
+  TrainerConfig cfg = tiny_dqn_config();
   cfg.dqn.epsilon_decay_epochs = 4;
-  DqnTrainer trainer(trace, cfg);
+  Trainer trainer(trace, cfg);
   const double e1 = trainer.run_epoch().epsilon;
   const double e2 = trainer.run_epoch().epsilon;
   EXPECT_GT(e1, e2);
@@ -79,16 +85,17 @@ TEST_F(AltTrainersTest, DqnEpsilonDecaysAcrossEpochs) {
 
 TEST_F(AltTrainersTest, DqnReplayPersistsAcrossEpochs) {
   const swf::Trace trace = workload::sdsc_sp2_like(4, 1500);
-  DqnTrainer trainer(trace, tiny_dqn_config());
+  Trainer trainer(trace, tiny_dqn_config());
+  const auto& learner = dynamic_cast<const DqnLearner&>(trainer.learner());
   trainer.run_epoch();
-  const std::size_t after_one = trainer.dqn().replay().size();
+  const std::size_t after_one = learner.dqn().replay().size();
   trainer.run_epoch();
-  EXPECT_GT(trainer.dqn().replay().size(), after_one);
+  EXPECT_GT(learner.dqn().replay().size(), after_one);
 }
 
 TEST_F(AltTrainersTest, DqnQParametersChangeAfterTraining) {
   const swf::Trace trace = workload::lublin_1(6, 1200);
-  DqnTrainer trainer(trace, tiny_dqn_config());
+  Trainer trainer(trace, tiny_dqn_config());
   const auto& model =
       dynamic_cast<const KernelActorCritic&>(trainer.agent().model());
   const nn::Tensor before = model.policy_net().parameters()[0]->value;
@@ -100,13 +107,13 @@ TEST_F(AltTrainersTest, DqnQParametersChangeAfterTraining) {
 
 TEST_F(AltTrainersTest, DqnTrainRunsHistoryCallbacksAndEval) {
   const swf::Trace trace = workload::sdsc_sp2_like(8, 1500);
-  DqnTrainerConfig cfg = tiny_dqn_config();
+  TrainerConfig cfg = tiny_dqn_config();
   cfg.eval_every = 1;
   cfg.eval_samples = 2;
   cfg.eval_sample_jobs = 256;
-  DqnTrainer trainer(trace, cfg);
+  Trainer trainer(trace, cfg);
   std::size_t callbacks = 0;
-  const auto history = trainer.train([&](const AltEpochStats&) { ++callbacks; });
+  const auto history = trainer.train([&](const EpochStats&) { ++callbacks; });
   EXPECT_EQ(history.size(), 2u);
   EXPECT_EQ(callbacks, 2u);
   for (const auto& h : history) EXPECT_FALSE(std::isnan(h.eval_bsld));
@@ -114,11 +121,11 @@ TEST_F(AltTrainersTest, DqnTrainRunsHistoryCallbacksAndEval) {
 
 TEST_F(AltTrainersTest, DqnDeterministicCollectionInSeed) {
   const swf::Trace trace = workload::sdsc_sp2_like(5, 1500);
-  const DqnTrainerConfig cfg = tiny_dqn_config();
-  DqnTrainer a(trace, cfg);
-  DqnTrainer b(trace, cfg);
-  const AltEpochStats sa = a.run_epoch();
-  const AltEpochStats sb = b.run_epoch();
+  const TrainerConfig cfg = tiny_dqn_config();
+  Trainer a(trace, cfg);
+  Trainer b(trace, cfg);
+  const EpochStats sa = a.run_epoch();
+  const EpochStats sb = b.run_epoch();
   EXPECT_DOUBLE_EQ(sa.mean_baseline_bsld, sb.mean_baseline_bsld);
   EXPECT_DOUBLE_EQ(sa.mean_bsld, sb.mean_bsld);
   EXPECT_EQ(sa.steps, sb.steps);
@@ -126,11 +133,11 @@ TEST_F(AltTrainersTest, DqnDeterministicCollectionInSeed) {
 
 TEST_F(AltTrainersTest, DqnWarmStartUsesInitialAgent) {
   const swf::Trace trace = workload::sdsc_sp2_like(9, 1500);
-  const DqnTrainerConfig cfg = tiny_dqn_config();
-  DqnTrainer source(trace, cfg);
+  const TrainerConfig cfg = tiny_dqn_config();
+  Trainer source(trace, cfg);
   source.run_epoch();
 
-  DqnTrainer fine_tuned(trace, cfg, source.agent());
+  Trainer fine_tuned(trace, cfg, source.agent());
   const auto& src =
       dynamic_cast<const KernelActorCritic&>(source.agent().model());
   const auto& dst =
@@ -140,22 +147,22 @@ TEST_F(AltTrainersTest, DqnWarmStartUsesInitialAgent) {
             0.0);
 }
 
-// ---------------------------------------------------- ReinforceTrainer --
+// ---------------------------------------------------------- REINFORCE --
 
 TEST_F(AltTrainersTest, ReinforceRejectsDegenerateConfigs) {
   const swf::Trace trace = workload::lublin_1(1, 200);
-  ReinforceTrainerConfig cfg = tiny_reinforce_config();
+  TrainerConfig cfg = tiny_reinforce_config();
   cfg.jobs_per_trajectory = 500;
-  EXPECT_THROW(ReinforceTrainer(trace, cfg), std::invalid_argument);
+  EXPECT_THROW(Trainer(trace, cfg), std::invalid_argument);
   cfg = tiny_reinforce_config();
   cfg.base_policy = "BOGUS";
-  EXPECT_THROW(ReinforceTrainer(trace, cfg), std::invalid_argument);
+  EXPECT_THROW(Trainer(trace, cfg), std::invalid_argument);
 }
 
 TEST_F(AltTrainersTest, ReinforceEpochProducesSaneStats) {
   const swf::Trace trace = workload::sdsc_sp2_like(2, 1500);
-  ReinforceTrainer trainer(trace, tiny_reinforce_config());
-  const AltEpochStats s = trainer.run_epoch();
+  Trainer trainer(trace, tiny_reinforce_config());
+  const EpochStats s = trainer.run_epoch();
   EXPECT_EQ(s.epoch, 1u);
   EXPECT_GT(s.steps, 0u);
   EXPECT_GT(s.mean_bsld, 0.0);
@@ -164,7 +171,7 @@ TEST_F(AltTrainersTest, ReinforceEpochProducesSaneStats) {
 
 TEST_F(AltTrainersTest, ReinforcePolicyParametersChangeAfterEpoch) {
   const swf::Trace trace = workload::lublin_2(6, 1200);
-  ReinforceTrainer trainer(trace, tiny_reinforce_config());
+  Trainer trainer(trace, tiny_reinforce_config());
   const auto& model =
       dynamic_cast<const KernelActorCritic&>(trainer.agent().model());
   const nn::Tensor before = model.policy_net().parameters()[0]->value;
@@ -176,7 +183,7 @@ TEST_F(AltTrainersTest, ReinforcePolicyParametersChangeAfterEpoch) {
 
 TEST_F(AltTrainersTest, ReinforceTrainReturnsHistory) {
   const swf::Trace trace = workload::lublin_1(4, 1200);
-  ReinforceTrainer trainer(trace, tiny_reinforce_config());
+  Trainer trainer(trace, tiny_reinforce_config());
   const auto history = trainer.train();
   EXPECT_EQ(history.size(), 2u);
   EXPECT_EQ(history[1].epoch, 2u);
@@ -184,29 +191,71 @@ TEST_F(AltTrainersTest, ReinforceTrainReturnsHistory) {
 
 TEST_F(AltTrainersTest, ReinforceDeterministicCollectionInSeed) {
   const swf::Trace trace = workload::sdsc_sp2_like(5, 1500);
-  const ReinforceTrainerConfig cfg = tiny_reinforce_config();
-  ReinforceTrainer a(trace, cfg);
-  ReinforceTrainer b(trace, cfg);
+  const TrainerConfig cfg = tiny_reinforce_config();
+  Trainer a(trace, cfg);
+  Trainer b(trace, cfg);
   EXPECT_DOUBLE_EQ(a.run_epoch().mean_bsld, b.run_epoch().mean_bsld);
 }
 
 TEST_F(AltTrainersTest, ReinforceSjfBasePolicySupported) {
   const swf::Trace trace = workload::sdsc_sp2_like(8, 1500);
-  ReinforceTrainerConfig cfg = tiny_reinforce_config();
+  TrainerConfig cfg = tiny_reinforce_config();
   cfg.base_policy = "SJF";
-  ReinforceTrainer trainer(trace, cfg);
+  Trainer trainer(trace, cfg);
   EXPECT_GT(trainer.run_epoch().steps, 0u);
 }
 
 TEST_F(AltTrainersTest, GreedyEvaluationDeterministic) {
   const swf::Trace trace = workload::sdsc_sp2_like(10, 1500);
-  ReinforceTrainerConfig cfg = tiny_reinforce_config();
+  TrainerConfig cfg = tiny_reinforce_config();
   cfg.eval_samples = 2;
   cfg.eval_sample_jobs = 256;
-  ReinforceTrainer trainer(trace, cfg);
+  Trainer trainer(trace, cfg);
   const double first = trainer.evaluate_greedy();
   EXPECT_GT(first, 0.0);
   EXPECT_DOUBLE_EQ(trainer.evaluate_greedy(), first);
+}
+
+TEST_F(AltTrainersTest, UnknownAlgorithmRejected) {
+  const swf::Trace trace = workload::lublin_1(1, 1200);
+  TrainerConfig cfg = tiny_dqn_config();
+  cfg.algorithm = "sarsa";
+  EXPECT_THROW(Trainer(trace, cfg), std::invalid_argument);
+}
+
+// The per-epoch environment every transport reproduces (collect-rollouts
+// calls the same prepare_epoch): PPO collects under config.env as given,
+// DQN epsilon-greedily at the decayed rate, REINFORCE by softmax sampling.
+TEST_F(AltTrainersTest, LearnersForceTheirCollectionEnv) {
+  const Agent agent(AgentConfig{}, 3);
+  EnvConfig base;
+  base.selection = ActionSelection::Greedy;
+  base.epsilon = 0.5;
+  const auto prepared = [&](const TrainerConfig& cfg, std::size_t epoch) {
+    Agent copy = agent.clone();
+    EnvConfig env = base;
+    rl::CollectionPlan plan;
+    plan.epoch = epoch;
+    make_learner(cfg, copy.model(), nullptr)->prepare_epoch(env, plan);
+    return std::make_pair(env, plan.epsilon);
+  };
+
+  TrainerConfig ppo;
+  const auto [ppo_env, ppo_eps] = prepared(ppo, 1);
+  EXPECT_EQ(ppo_env.selection, ActionSelection::Greedy);
+  EXPECT_TRUE(std::isnan(ppo_eps));
+
+  TrainerConfig dqn = tiny_dqn_config();
+  dqn.dqn.epsilon_decay_epochs = 4;
+  const auto [dqn_env, dqn_eps] = prepared(dqn, 3);
+  EXPECT_EQ(dqn_env.selection, ActionSelection::EpsilonGreedy);
+  EXPECT_DOUBLE_EQ(dqn_eps, dqn.dqn.epsilon_start +
+                                0.5 * (dqn.dqn.epsilon_end - dqn.dqn.epsilon_start));
+  EXPECT_EQ(dqn_env.epsilon, dqn_eps);
+
+  const auto [rf_env, rf_eps] = prepared(tiny_reinforce_config(), 1);
+  EXPECT_EQ(rf_env.selection, ActionSelection::SampleSoftmax);
+  EXPECT_TRUE(std::isnan(rf_eps));
 }
 
 // Agents trained by any algorithm share the deployment path: a DQN
@@ -214,7 +263,7 @@ TEST_F(AltTrainersTest, GreedyEvaluationDeterministic) {
 // agent's does.
 TEST_F(AltTrainersTest, DqnAgentDeploysThroughTheSameGreedyPath) {
   const swf::Trace trace = workload::sdsc_sp2_like(12, 1500);
-  DqnTrainer trainer(trace, tiny_dqn_config());
+  Trainer trainer(trace, tiny_dqn_config());
   trainer.run_epoch();
   const double bsld = trainer.evaluate_greedy();
   EXPECT_GT(bsld, 0.0);

@@ -9,24 +9,25 @@
 #include <sstream>
 
 #include "exp/config.h"
+#include "obs/json.h"
 
 namespace rlbf::exp {
 namespace {
 
 TEST(JsonEscape, EscapesQuotesAndBackslashes) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(obs::json::escape("plain"), "plain");
+  EXPECT_EQ(obs::json::escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(obs::json::escape("a\\b"), "a\\\\b");
 }
 
 // Regression: a scenario label containing control characters used to be
 // emitted raw, producing invalid JSON (a literal newline inside a
 // string). Every byte < 0x20 must leave as an escape.
 TEST(JsonEscape, EscapesControlCharacters) {
-  EXPECT_EQ(json_escape("line1\nline2"), "line1\\nline2");
-  EXPECT_EQ(json_escape("tab\there"), "tab\\there");
-  EXPECT_EQ(json_escape("cr\rlf\n"), "cr\\rlf\\n");
-  EXPECT_EQ(json_escape(std::string("nul\x01\x1f!")), "nul\\u0001\\u001f!");
+  EXPECT_EQ(obs::json::escape("line1\nline2"), "line1\\nline2");
+  EXPECT_EQ(obs::json::escape("tab\there"), "tab\\there");
+  EXPECT_EQ(obs::json::escape("cr\rlf\n"), "cr\\rlf\\n");
+  EXPECT_EQ(obs::json::escape(std::string("nul\x01\x1f!")), "nul\\u0001\\u001f!");
 }
 
 TEST(WriteSummaryJson, InfinityRendersAsNullNotBareInf) {

@@ -49,7 +49,7 @@ TEST(Fingerprint, EveryTrainingRelevantFieldChangesTheKey) {
   EXPECT_TRUE(differs([](TrainingSpec& s) { s.trainer.seed = 8; }));
   EXPECT_TRUE(differs([](TrainingSpec& s) { s.trainer.epochs = 4; }));
   EXPECT_TRUE(differs([](TrainingSpec& s) { s.trainer.base_policy = "SJF"; }));
-  EXPECT_TRUE(differs([](TrainingSpec& s) { s.algorithm = "dqn"; }));
+  EXPECT_TRUE(differs([](TrainingSpec& s) { s.trainer.algorithm = "dqn"; }));
   EXPECT_TRUE(differs([](TrainingSpec& s) { s.workload.workload = "HPC2N"; }));
   EXPECT_TRUE(differs([](TrainingSpec& s) { s.workload.trace_jobs = 2000; }));
   EXPECT_TRUE(differs([](TrainingSpec& s) { s.workload.load_factor = 1.5; }));
@@ -81,14 +81,14 @@ TEST(Fingerprint, GoldenValueIsStableAcrossProcesses) {
 TEST(Fingerprint, AlgorithmHyperparametersAreFingerprintedUnderTheirAlgorithm) {
   TrainingSpec a = base_spec();
   TrainingSpec b = base_spec();
-  a.algorithm = b.algorithm = "dqn";
-  b.dqn.epsilon_decay_epochs = 40;
+  a.trainer.algorithm = b.trainer.algorithm = "dqn";
+  b.trainer.dqn.epsilon_decay_epochs = 40;
   EXPECT_NE(fingerprint(a), fingerprint(b));
 
   TrainingSpec c = base_spec();
   TrainingSpec d = base_spec();
-  c.algorithm = d.algorithm = "reinforce";
-  d.reinforce.policy_lr = 3e-3;
+  c.trainer.algorithm = d.trainer.algorithm = "reinforce";
+  d.trainer.reinforce.policy_lr = 3e-3;
   EXPECT_NE(fingerprint(c), fingerprint(d));
 }
 
@@ -98,8 +98,8 @@ TEST(Fingerprint, AlgorithmHyperparametersAreFingerprintedUnderTheirAlgorithm) {
 TEST(Fingerprint, ForeignAlgorithmBlocksDoNotForkPpoKeys) {
   TrainingSpec a = base_spec();
   TrainingSpec b = base_spec();
-  b.dqn.epsilon_decay_epochs = 40;
-  b.reinforce.policy_lr = 3e-3;
+  b.trainer.dqn.epsilon_decay_epochs = 40;
+  b.trainer.reinforce.policy_lr = 3e-3;
   EXPECT_EQ(fingerprint(a), fingerprint(b));
 }
 
@@ -148,8 +148,8 @@ TEST(TrainingRegistry, AblationArmsAreRegistered) {
   }
   // Family invariants: the DQN arm really is a DQN spec, the fine-tune
   // arm warm-starts from the source arm, knockouts clear exactly one bit.
-  EXPECT_EQ(find_training_spec("abl-rl-dqn").algorithm, "dqn");
-  EXPECT_EQ(find_training_spec("abl-rl-reinforce").reinforce.policy_lr, 3e-3);
+  EXPECT_EQ(find_training_spec("abl-rl-dqn").trainer.algorithm, "dqn");
+  EXPECT_EQ(find_training_spec("abl-rl-reinforce").trainer.reinforce.policy_lr, 3e-3);
   EXPECT_EQ(find_training_spec("abl-transfer-finetune").init_agent,
             "abl-transfer-source");
   EXPECT_EQ(find_training_spec("abl-feat-no-slack").trainer.agent.obs.feature_mask,

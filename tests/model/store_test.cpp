@@ -123,10 +123,10 @@ TEST(Store, NewSpecFieldsSeparateEntriesThroughLookupAndPrune) {
   a.name = "arm-a";
   a.workload.workload = "SDSC-SP2";
   a.workload.trace_jobs = 1000;
-  a.algorithm = "dqn";
+  a.trainer.algorithm = "dqn";
   TrainingSpec b = a;
   b.name = "arm-b";
-  b.dqn.epsilon_decay_epochs = a.dqn.epsilon_decay_epochs + 7;
+  b.trainer.dqn.epsilon_decay_epochs = a.trainer.dqn.epsilon_decay_epochs + 7;
 
   const std::string key_a = fingerprint(a);
   const std::string key_b = fingerprint(b);

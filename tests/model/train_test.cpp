@@ -53,7 +53,7 @@ TEST(TrainSpec, TrainsCommitsAndReportsProgress) {
   TrainOptions options;
   options.threads = 2;
   std::size_t progress_calls = 0;
-  options.on_progress = [&](const TrainingSpec& spec, const TrainProgress& p) {
+  options.on_progress = [&](const TrainingSpec& spec, const core::EpochStats& p) {
     EXPECT_EQ(spec.name, "micro");
     EXPECT_EQ(p.epoch, progress_calls + 1);
     ++progress_calls;
@@ -83,7 +83,7 @@ TEST(TrainSpec, SecondInvocationIsACacheHitAndSkipsRetraining) {
   const std::string bytes_after_first = file_bytes(first.entry.path);
 
   std::size_t progress_calls = 0;
-  options.on_progress = [&](const TrainingSpec&, const TrainProgress&) {
+  options.on_progress = [&](const TrainingSpec&, const core::EpochStats&) {
     ++progress_calls;
   };
   const TrainOutcome second = train_spec(micro_spec(), store, options);
@@ -301,7 +301,7 @@ TEST(TrainSpec, WarmStartFallsBackToUniqueSameNameEntry) {
 TEST(UnknownAlgorithm, Throws) {
   Store store(fresh_root("alg"));
   TrainingSpec spec = micro_spec();
-  spec.algorithm = "sarsa";
+  spec.trainer.algorithm = "sarsa";
   EXPECT_THROW(train_spec(spec, store, {}), std::invalid_argument);
 }
 

@@ -1,6 +1,7 @@
 #include "sim/event_sim.h"
 
 #include <gtest/gtest.h>
+#include <ostream>
 
 #include "sched/easy_backfill.h"
 #include "sched/policies.h"
@@ -244,6 +245,12 @@ struct SimPropertyCase {
   bool backfill;
 };
 
+// Deterministic test names: the default byte dump would embed the
+// trace_name pointer, which changes from run to run.
+void PrintTo(const SimPropertyCase& c, std::ostream* os) {
+  *os << c.trace_name << "_seed" << c.seed << (c.backfill ? "_easy" : "_fcfs");
+}
+
 class SimPropertyTest : public ::testing::TestWithParam<SimPropertyCase> {};
 
 TEST_P(SimPropertyTest, ScheduleIsCompleteAndConsistent) {
@@ -403,8 +410,9 @@ TEST(EventSim, IncrementalQueueMatchesFullResortPath) {
 
 TEST(EventSim, CachedReservationMatchesPlainOverload) {
   // Equal estimated ends exercise the unstable sort's tie behavior; the
-  // cached overload must resolve them identically because it feeds the
-  // sort the same pop-order snapshot.
+  // cached call (memoized estimates, reused scratch) must resolve them
+  // exactly like cache=nullptr because it feeds the sort the same
+  // pop-order snapshot.
   swf::Trace t("t", 32,
                {make_job(1, 0, 500, 6, 100), make_job(2, 0, 500, 6, 100),
                 make_job(3, 0, 400, 6, 80), make_job(4, 0, 600, 6, 100),
@@ -416,11 +424,12 @@ TEST(EventSim, CachedReservationMatchesPlainOverload) {
   std::vector<RunningJob> scratch;
   for (std::int64_t need = 8; need <= 32; need += 6) {
     const swf::Job rjob = make_job(9, 1, 50, need);
-    const Reservation plain = compute_reservation(cluster, t, rjob, est, 10);
-    // Twice through the cached overload: cold estimates, then memoized.
+    const Reservation plain =
+        compute_reservation(cluster, t, rjob, est, 10, /*cache=*/nullptr);
+    // Twice through the cache: cold estimates, then memoized.
     for (int pass = 0; pass < 2; ++pass) {
       const Reservation cached =
-          compute_reservation(cluster, t, rjob, est, 10, &cache, scratch);
+          compute_reservation(cluster, t, rjob, est, 10, &cache, &scratch);
       EXPECT_EQ(cached.shadow_time, plain.shadow_time) << "need " << need;
       EXPECT_EQ(cached.extra_procs, plain.extra_procs) << "need " << need;
     }

@@ -1,8 +1,16 @@
 #include "workload/presets.h"
 
 #include <gtest/gtest.h>
+#include <ostream>
 
 namespace rlbf::workload {
+
+// Deterministic test names: the default byte dump would embed the address
+// held by the std::string name, which changes from run to run. Declared in
+// rlbf::workload (not the anonymous namespace) so argument-dependent lookup
+// finds it.
+static void PrintTo(const PresetTargets& t, std::ostream* os) { *os << t.name; }
+
 namespace {
 
 class PresetCalibrationTest : public ::testing::TestWithParam<PresetTargets> {};

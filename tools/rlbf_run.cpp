@@ -64,6 +64,7 @@
 #include <thread>
 
 #include "core/collection.h"
+#include "core/learner.h"
 #include "dist/job.h"
 #include "dist/launcher.h"
 #include "dist/orchestrator.h"
@@ -907,7 +908,7 @@ int train(int argc, char** argv) {
                        "key", "description"});
     for (const std::string& name : model::training_spec_names()) {
       const model::TrainingSpec& s = model::find_training_spec(name);
-      table.add_row({s.name, s.algorithm, s.workload.workload,
+      table.add_row({s.name, s.trainer.algorithm, s.workload.workload,
                      s.trainer.base_policy,
                      std::to_string(s.trainer.epochs) + "x" +
                          std::to_string(s.trainer.trajectories_per_epoch) + "x" +
@@ -1153,7 +1154,7 @@ int train(int argc, char** argv) {
     // optional elapsed prefix) like every other progress surface; the
     // result table below stays the only stdout output.
     options.on_progress = [](const model::TrainingSpec& spec,
-                             const model::TrainProgress& p) {
+                             const core::EpochStats& p) {
       std::string line = spec.name + " epoch " + std::to_string(p.epoch) +
                          " reward=" + exp::format_metric(p.mean_reward) +
                          " bsld=" + exp::format_metric(p.mean_bsld) +
@@ -1264,14 +1265,16 @@ struct CollectRolloutsArgs : ObsFlags {
                "(required)");
     parser.add("--model", &model_path,
                "the learner's model checkpoint to collect with (required)");
-    parser.add("--epoch", &epoch, "1-based epoch being collected (labels only)");
+    parser.add("--epoch", &epoch,
+               "1-based epoch being collected (sets the DQN exploration rate)");
     parser.add("--out", &out_path,
                "where the rollout wire file goes (required)");
     parser.add("--fingerprint", &fingerprint,
                "request fingerprint embedded in the wire file (the "
                "supervisor rejects a response carrying any other)");
     parser.add("--epsilon", &epsilon,
-               "DQN exploration rate for this epoch (required for dqn specs)");
+               "DQN exploration rate for this epoch (required for dqn specs; "
+               "must match --epoch)");
     bind_obs(parser);
     return parser;
   }
@@ -1294,29 +1297,10 @@ int collect_rollouts(int argc, char** argv) {
   if (args.jobs > 0) spec.workload.trace_jobs = args.jobs;
   if (args.traj_jobs > 0) spec.trainer.jobs_per_trajectory = args.traj_jobs;
 
-  // Mirror the trainer constructors' environment forcing exactly: the
-  // worker-side epoch must see the same selection mode and exploration
-  // rate the in-process epoch would have (core/trainer.cpp forces
-  // nothing for PPO; core/alt_trainers.cpp forces EpsilonGreedy for DQN
-  // — with the decayed per-epoch rate — and SampleSoftmax for
-  // REINFORCE).
-  core::EnvConfig env = spec.trainer.env;
-  if (spec.algorithm == "dqn") {
-    if (!std::isfinite(args.epsilon)) {
-      std::cerr << "rlbf_run collect-rollouts: dqn specs need --epsilon "
-                   "(the supervisor passes the epoch's decayed rate)\n";
-      return 2;
-    }
-    env.selection = core::ActionSelection::EpsilonGreedy;
-    env.epsilon = args.epsilon;
-  } else if (spec.algorithm == "reinforce") {
-    env.selection = core::ActionSelection::SampleSoftmax;
-  }
-
   // The agent comes entirely from the checkpoint: observation and
   // network configuration travel in the model file, so warm starts and
   // masking reconciliation are the learner's business, not ours.
-  const core::Agent agent = core::Agent::load(args.model_path);
+  core::Agent agent = core::Agent::load(args.model_path);
   const std::shared_ptr<const swf::Trace> trace =
       exp::build_trace_cached(spec.workload, spec.trainer.seed);
   const std::unique_ptr<sim::PriorityPolicy> policy =
@@ -1326,13 +1310,24 @@ int collect_rollouts(int argc, char** argv) {
   rl::CollectionPlan plan;
   plan.seeds = dist::parse_seed_list(args.seeds_text);
   plan.epoch = args.epoch;
-  plan.epsilon = args.epsilon;
   core::CollectionContext ctx;
   ctx.trace = trace.get();
   ctx.policy = policy.get();
   ctx.estimator = &estimator;
-  ctx.env = env;
+  ctx.env = spec.trainer.env;
   ctx.jobs_per_trajectory = spec.trainer.jobs_per_trajectory;
+  // The epoch's selection mode and exploration rate come from the same
+  // Learner::prepare_epoch the in-process trainer calls; the rate the
+  // supervisor passed must agree with it.
+  core::make_learner(spec.trainer, agent.model(), nullptr)->prepare_epoch(ctx.env, plan);
+  const bool same_rate = plan.epsilon == args.epsilon ||
+                         (std::isnan(plan.epsilon) && std::isnan(args.epsilon));
+  if (!same_rate) {
+    std::cerr << "rlbf_run collect-rollouts: --epsilon does not match epoch "
+              << args.epoch << "'s exploration rate for spec '" << spec.name
+              << "' (the supervisor passes the learner's rate)\n";
+    return 2;
+  }
 
   util::ThreadPool pool(args.threads);
   rl::ThreadCollector collector(pool);
@@ -1712,8 +1707,11 @@ void render_curves_json(std::ostream& os, const obs::SeriesDoc& doc) {
   os << "{\n  \"series\": [";
   for (std::size_t i = 0; i < doc.series.size(); ++i) {
     const obs::Series& s = doc.series[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"name\": \"" << s.name << "\"";
-    if (!s.source.empty()) os << ", \"source\": \"" << s.source << "\"";
+    os << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
+       << obs::json::escape(s.name) << "\"";
+    if (!s.source.empty()) {
+      os << ", \"source\": \"" << obs::json::escape(s.source) << "\"";
+    }
     os << ", \"points\": [";
     for (std::size_t k = 0; k < s.points.size(); ++k) {
       os << (k == 0 ? "" : ", ") << "[" << s.points[k].step << ", "
@@ -2148,8 +2146,8 @@ int bench_compare(const std::string& base_path, const std::string& cand_path,
   if (!verdict_out.empty()) {
     std::ofstream os(verdict_out, std::ios::binary | std::ios::trunc);
     os << "{\n"
-       << "  \"base\": \"" << base_path << "\",\n"
-       << "  \"candidate\": \"" << cand_path << "\",\n"
+       << "  \"base\": \"" << obs::json::escape(base_path) << "\",\n"
+       << "  \"candidate\": \"" << obs::json::escape(cand_path) << "\",\n"
        << "  \"threshold\": " << exp::format_double_exact(threshold) << ",\n"
        << "  \"config_match\": " << (config_match ? "true" : "false") << ",\n"
        << "  \"fields\": [";
@@ -2252,7 +2250,7 @@ int bench(int argc, char** argv) {
   train_options.threads = args.threads;
   train_options.checkpoint = false;  // scratch store; nothing to resume
   train_options.on_progress = [](const model::TrainingSpec& spec,
-                                 const model::TrainProgress& p) {
+                                 const core::EpochStats& p) {
     util::log_info("bench: ", spec.name, " epoch ", p.epoch, " wall=",
                    exp::format_metric(p.wall_seconds), "s");
   };
@@ -2304,7 +2302,7 @@ int bench(int argc, char** argv) {
      << "  \"bench\": \"rlbf_run bench\",\n"
      << "  \"schema_version\": 3,\n"
      << "  \"source\": {\n"
-     << "    \"tag\": \"" << args.tag << "\",\n"
+     << "    \"tag\": \"" << obs::json::escape(args.tag) << "\",\n"
      << "    \"platform\": \"" << platform_string() << "\",\n"
      << "    \"libm\": \"" << util::libm_fingerprint_id() << "\"\n"
      << "  },\n"
