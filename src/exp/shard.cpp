@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "exp/config.h"
+#include "obs/json.h"
 
 namespace rlbf::exp {
 
@@ -66,7 +67,7 @@ ShardFile read_shard_csv(const std::string& path) {
       line != "instance," + summary_csv_header()) {
     throw std::runtime_error("merge: unexpected CSV column header in " + path);
   }
-  // A quoted CSV field may legitimately contain newlines (csv_escape
+  // A quoted CSV field may legitimately contain newlines (obs::csv_field
   // quotes them), so logical rows are accumulated until the quote count
   // is even. The instance column is always an unquoted number before the
   // first comma, so splitting the logical row there stays safe.
@@ -222,10 +223,9 @@ std::vector<std::string> merge_rows(const std::vector<ShardFile>& files) {
 }
 
 void write_or_throw(const std::string& out_path, const std::string& content) {
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("merge: cannot write " + out_path);
-  out << content;
-  if (!out) throw std::runtime_error("merge: failed writing " + out_path);
+  if (!obs::write_file(out_path, [&](std::ostream& os) { os << content; })) {
+    throw std::runtime_error("merge: cannot write " + out_path);
+  }
 }
 
 struct MergedSet {
@@ -451,28 +451,6 @@ void write_shard_summary_json(std::ostream& os, const ShardSummary& summary) {
   }
   os << "]}\n";
   os.imbue(prev);
-}
-
-namespace {
-
-template <typename Fn>
-bool save(const std::string& path, const Fn& write) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return false;
-  write(os);
-  return static_cast<bool>(os);
-}
-
-}  // namespace
-
-bool save_shard_summary_csv(const std::string& path, const ShardSummary& summary) {
-  return save(path, [&](std::ostream& os) { write_shard_summary_csv(os, summary); });
-}
-
-bool save_shard_summary_json(const std::string& path,
-                             const ShardSummary& summary) {
-  return save(path,
-              [&](std::ostream& os) { write_shard_summary_json(os, summary); });
 }
 
 ShardSetInfo merge_shard_summaries_csv(const std::vector<std::string>& inputs,

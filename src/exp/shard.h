@@ -71,8 +71,6 @@ std::string shard_summary_filename(const ShardSpec& shard,
 /// are the canonical sink renderings, byte for byte.
 void write_shard_summary_csv(std::ostream& os, const ShardSummary& summary);
 void write_shard_summary_json(std::ostream& os, const ShardSummary& summary);
-bool save_shard_summary_csv(const std::string& path, const ShardSummary& summary);
-bool save_shard_summary_json(const std::string& path, const ShardSummary& summary);
 
 /// The validated shape of a merged shard set.
 struct ShardSetInfo {

@@ -1,7 +1,6 @@
 #include "exp/sink.h"
 
 #include <charconv>
-#include <fstream>
 #include <locale>
 #include <sstream>
 
@@ -60,17 +59,6 @@ std::string format_count(double value) {
 
 namespace {
 
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (const char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 std::string json_number(double value) {
   // NaN means "not measured"; infinities (a degenerate run dividing by
   // zero) have no JSON literal either — "inf" would poison the file.
@@ -90,7 +78,7 @@ std::string summary_csv_row(const SummaryRow& row) {
   // calling std::locale::global(de_DE) must not turn seed=100000 into
   // the phantom-column-producing "100.000".
   os.imbue(std::locale::classic());
-  os << csv_escape(row.scenario) << ',' << csv_escape(row.label) << ','
+  os << obs::csv_field(row.scenario) << ',' << obs::csv_field(row.label) << ','
      << row.seed << ',' << row.jobs << ',' << format_metric(row.bsld) << ','
      << format_metric(row.avg_wait) << ',' << format_metric(row.utilization)
      << ',' << format_count(row.backfilled) << ',' << format_count(row.killed)
@@ -145,31 +133,6 @@ void write_per_job_csv(std::ostream& os, const ScenarioRun& run) {
        << (r.backfilled ? 1 : 0) << ',' << (r.killed ? 1 : 0) << '\n';
   }
   os.imbue(prev);
-}
-
-namespace {
-
-template <typename Fn>
-bool save(const std::string& path, const Fn& write) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return false;
-  write(os);
-  return static_cast<bool>(os);
-}
-
-}  // namespace
-
-bool save_summary_csv(const std::string& path, const std::vector<SummaryRow>& rows) {
-  return save(path, [&](std::ostream& os) { write_summary_csv(os, rows); });
-}
-
-bool save_summary_json(const std::string& path,
-                       const std::vector<SummaryRow>& rows) {
-  return save(path, [&](std::ostream& os) { write_summary_json(os, rows); });
-}
-
-bool save_per_job_csv(const std::string& path, const ScenarioRun& run) {
-  return save(path, [&](std::ostream& os) { write_per_job_csv(os, run); });
 }
 
 std::string sanitize_filename(const std::string& name) {

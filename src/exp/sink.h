@@ -64,11 +64,6 @@ void write_summary_csv(std::ostream& os, const std::vector<SummaryRow>& rows);
 void write_summary_json(std::ostream& os, const std::vector<SummaryRow>& rows);
 void write_per_job_csv(std::ostream& os, const ScenarioRun& run);
 
-/// File variants; return false (and write nothing further) on I/O error.
-bool save_summary_csv(const std::string& path, const std::vector<SummaryRow>& rows);
-bool save_summary_json(const std::string& path, const std::vector<SummaryRow>& rows);
-bool save_per_job_csv(const std::string& path, const ScenarioRun& run);
-
 /// Turn an instance name ("sdsc-easy/load=0.5,policy=SJF") into a safe
 /// file stem: [A-Za-z0-9._-] kept, everything else mapped to '_'.
 std::string sanitize_filename(const std::string& name);

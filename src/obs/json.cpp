@@ -3,8 +3,12 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
+
+#include "obs/metrics.h"
 
 namespace rlbf::obs::json {
 
@@ -305,4 +309,100 @@ std::string escape(const std::string& text) {
   return out;
 }
 
+// ------------------------------------------------------------- Writer
+
+Writer& Writer::open(char bracket, bool lines) {
+  begin_element();
+  os_ << bracket;
+  stack_.push_back({bracket == '{' ? '}' : ']', lines});
+  if (lines) ++line_depth_;
+  return *this;
+}
+
+Writer& Writer::end() {
+  const Frame frame = stack_.back();
+  stack_.pop_back();
+  if (frame.lines) {
+    --line_depth_;
+    if (frame.count > 0) newline_indent();
+  }
+  os_ << frame.close;
+  return *this;
+}
+
+Writer& Writer::key(const std::string& name) {
+  begin_element();
+  os_ << '"' << escape(name) << "\": ";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::value(const std::string& text) {
+  return raw('"' + escape(text) + '"');
+}
+
+Writer& Writer::value(double number) { return raw(format_number(number)); }
+
+Writer& Writer::raw(const std::string& token) {
+  begin_element();
+  os_ << token;
+  return *this;
+}
+
+void Writer::begin_element() {
+  // A key already placed this element; its value follows directly.
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (stack_.empty()) return;
+  Frame& top = stack_.back();
+  if (top.lines) {
+    if (top.count > 0) os_ << ',';
+    newline_indent();
+  } else if (top.count > 0) {
+    os_ << ", ";
+  }
+  ++top.count;
+}
+
+void Writer::newline_indent() {
+  os_ << '\n' << std::string(2 * line_depth_, ' ');
+}
+
 }  // namespace rlbf::obs::json
+
+namespace rlbf::obs {
+
+std::string read_file(const std::string& path, const std::string& what) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error("cannot open " + what + ": " + path);
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  if (is.bad()) throw std::runtime_error("cannot read " + what + ": " + path);
+  std::string text = buf.str();
+  if (text.empty()) throw std::runtime_error(what + " is empty: " + path);
+  return text;
+}
+
+bool write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& write) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  if (!os) return false;
+  write(os);
+  os.flush();
+  return static_cast<bool>(os);
+}
+
+std::string csv_field(const std::string& text) {
+  if (text.find_first_of(",\"\n") == std::string::npos) return text;
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
+}  // namespace rlbf::obs

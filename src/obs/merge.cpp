@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
-#include <fstream>
 #include <limits>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -80,23 +78,6 @@ Histogram::Snapshot parse_histogram(const json::Value& v,
   return snap;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("cannot open sidecar file: " + path);
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (!is.good() && !is.eof()) {
-    throw std::runtime_error("cannot read sidecar file: " + path);
-  }
-  std::string text = buf.str();
-  if (text.empty()) {
-    throw std::runtime_error("sidecar file is empty: " + path);
-  }
-  return text;
-}
-
 }  // namespace
 
 // ------------------------------------------------------------- metrics
@@ -131,7 +112,7 @@ MetricsDoc parse_metrics_json(const std::string& text,
 }
 
 MetricsDoc load_metrics_file(const std::string& path) {
-  return parse_metrics_json(read_file(path), path);
+  return parse_metrics_json(read_file(path, "sidecar file"), path);
 }
 
 MergedMetrics merge_metrics(const std::vector<LabeledMetrics>& docs) {
@@ -173,42 +154,22 @@ MergedMetrics merge_metrics(const std::vector<LabeledMetrics>& docs) {
 }
 
 void write_merged_metrics_json(std::ostream& os, const MergedMetrics& merged) {
-  os << "{\n  \"sources\": [";
-  for (std::size_t i = 0; i < merged.sources.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << "\"" << json::escape(merged.sources[i]) << "\"";
-  }
-  os << "],\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : merged.counters) {
-    os << (first ? "\n" : ",\n") << "    \"" << json::escape(name)
-       << "\": " << value;
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
+  json::Writer w(os);
+  w.object(true).key("sources").array();
+  for (const std::string& source : merged.sources) w.value(source);
+  w.end().key("counters").object(true);
+  for (const auto& [name, value] : merged.counters) w.key(name).value(value);
+  w.end().key("gauges").object(true);
   for (const auto& [name, gauge] : merged.gauges) {
-    os << (first ? "\n" : ",\n") << "    \"" << json::escape(name)
-       << "\": {\"value\": " << format_number(gauge.value) << ", \"source\": \""
-       << json::escape(gauge.source) << "\"}";
-    first = false;
+    w.key(name).object().key("value").value(gauge.value);
+    w.key("source").value(gauge.source).end();
   }
-  os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
+  w.end().key("histograms").object(true);
   for (const auto& [name, snap] : merged.histograms) {
-    os << (first ? "\n" : ",\n") << "    \"" << json::escape(name) << "\": ";
-    write_histogram_json(os, snap);
-    first = false;
+    write_histogram_json(w.key(name), snap);
   }
-  os << (first ? "" : "\n  ") << "}\n}\n";
-}
-
-bool save_merged_metrics_json(const std::string& path,
-                              const MergedMetrics& merged) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  write_merged_metrics_json(os, merged);
-  os.flush();
-  return static_cast<bool>(os);
+  w.end().end();
+  os << '\n';
 }
 
 // --------------------------------------------------------------- trace
@@ -283,7 +244,7 @@ TraceDoc parse_trace_json(const std::string& text, const std::string& origin) {
 }
 
 TraceDoc load_trace_file(const std::string& path) {
-  return parse_trace_json(read_file(path), path);
+  return parse_trace_json(read_file(path, "sidecar file"), path);
 }
 
 SplicedTrace splice_traces(const std::vector<LabeledTrace>& docs) {
@@ -358,33 +319,24 @@ SplicedTrace splice_traces(const std::vector<LabeledTrace>& docs) {
 }
 
 void write_spliced_trace_json(std::ostream& os, const SplicedTrace& spliced) {
-  os << "{\"traceEvents\": [";
-  bool first = true;
+  json::Writer w(os);
+  w.object().key("traceEvents").array(true);
   for (const SplicedTrace::Process& proc : spliced.processes) {
-    os << (first ? "\n" : ",\n") << "  {\"name\": \"process_name\", "
-       << "\"ph\": \"M\", \"pid\": " << proc.pid
-       << ", \"args\": {\"name\": \"" << json::escape(proc.name) << "\"}}";
-    first = false;
+    w.object().key("name").value("process_name").key("ph").value("M");
+    w.key("pid").value(proc.pid);
+    w.key("args").object().key("name").value(proc.name).end().end();
   }
   for (const PidTraceEvent& ev : spliced.events) {
-    os << (first ? "\n" : ",\n") << "  {\"name\": \"" << json::escape(ev.event.name)
-       << "\", \"cat\": \"" << json::escape(ev.event.category)
-       << "\", \"ph\": \"X\", \"ts\": " << ev.event.ts_us
-       << ", \"dur\": " << ev.event.dur_us << ", \"pid\": " << ev.pid
-       << ", \"tid\": " << ev.event.tid << "}";
-    first = false;
+    w.object().key("name").value(ev.event.name);
+    w.key("cat").value(ev.event.category).key("ph").value("X");
+    w.key("ts").value(ev.event.ts_us).key("dur").value(ev.event.dur_us);
+    w.key("pid").value(ev.pid).key("tid").value(ev.event.tid).end();
   }
-  os << (first ? "" : "\n") << "], \"epochAnchorUs\": "
-     << spliced.epoch_anchor_us << "}\n";
-}
-
-bool save_spliced_trace_json(const std::string& path,
-                             const SplicedTrace& spliced) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  write_spliced_trace_json(os, spliced);
-  os.flush();
-  return static_cast<bool>(os);
+  // epochAnchorUs: the wall-clock instant ts=0 corresponds to. Chrome
+  // and Perfetto ignore unknown top-level keys; obs::merge uses it to
+  // align traces from different processes onto one timeline.
+  w.end().key("epochAnchorUs").value(spliced.epoch_anchor_us).end();
+  os << '\n';
 }
 
 }  // namespace rlbf::obs

@@ -83,8 +83,6 @@ MergedMetrics merge_metrics(const std::vector<LabeledMetrics>& docs);
 /// "source": ".."}}, "histograms": {"name": <histogram JSON>}}, keys
 /// sorted, numbers shortest-round-trip.
 void write_merged_metrics_json(std::ostream& os, const MergedMetrics& merged);
-bool save_merged_metrics_json(const std::string& path,
-                              const MergedMetrics& merged);
 
 // --------------------------------------------------------------- trace
 
@@ -136,7 +134,5 @@ SplicedTrace splice_traces(const std::vector<LabeledTrace>& docs);
 /// Chrome trace_event JSON: process_name metadata events first, then
 /// every span, then the merged epochAnchorUs.
 void write_spliced_trace_json(std::ostream& os, const SplicedTrace& spliced);
-bool save_spliced_trace_json(const std::string& path,
-                             const SplicedTrace& spliced);
 
 }  // namespace rlbf::obs

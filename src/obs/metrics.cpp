@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -191,25 +190,21 @@ Histogram::Snapshot merge_histogram(const Histogram::Snapshot& a,
   return merged;
 }
 
-void write_histogram_json(std::ostream& os, const Histogram::Snapshot& snap) {
-  os << "{\"count\": " << snap.count << ", \"sum\": " << format_number(snap.sum)
-     << ", \"min\": " << format_number(snap.min)
-     << ", \"max\": " << format_number(snap.max)
-     << ", \"p50\": " << format_number(percentile(snap, 0.50))
-     << ", \"p95\": " << format_number(percentile(snap, 0.95))
-     << ", \"p99\": " << format_number(percentile(snap, 0.99))
-     << ", \"buckets\": [";
+void write_histogram_json(json::Writer& w, const Histogram::Snapshot& snap) {
+  w.object();
+  w.key("count").value(snap.count).key("sum").value(snap.sum);
+  w.key("min").value(snap.min).key("max").value(snap.max);
+  w.key("p50").value(percentile(snap, 0.50));
+  w.key("p95").value(percentile(snap, 0.95));
+  w.key("p99").value(percentile(snap, 0.99));
+  w.key("buckets").array();
   for (std::size_t i = 0; i < snap.bucket_counts.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << "{\"le\": ";
-    if (i < snap.upper_bounds.size()) {
-      os << "\"" << format_number(snap.upper_bounds[i]) << "\"";
-    } else {
-      os << "\"inf\"";
-    }
-    os << ", \"count\": " << snap.bucket_counts[i] << "}";
+    w.object().key("le").value(i < snap.upper_bounds.size()
+                                   ? format_number(snap.upper_bounds[i])
+                                   : std::string("inf"));
+    w.key("count").value(snap.bucket_counts[i]).end();
   }
-  os << "]}";
+  w.end().end();
 }
 
 // ---------------------------------------------------------------- Registry
@@ -298,28 +293,17 @@ std::vector<std::string> Registry::histogram_names() const {
 void Registry::write_json(std::ostream& os) const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
-  os << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, metric] : im.counters) {
-    os << (first ? "\n" : ",\n") << "    \"" << json::escape(name)
-       << "\": " << metric.value();
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, metric] : im.gauges) {
-    os << (first ? "\n" : ",\n") << "    \"" << json::escape(name)
-       << "\": " << format_number(metric.value());
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
+  json::Writer w(os);
+  w.object(true).key("counters").object(true);
+  for (const auto& [name, metric] : im.counters) w.key(name).value(metric.value());
+  w.end().key("gauges").object(true);
+  for (const auto& [name, metric] : im.gauges) w.key(name).value(metric.value());
+  w.end().key("histograms").object(true);
   for (const auto& [name, metric] : im.histograms) {
-    os << (first ? "\n" : ",\n") << "    \"" << json::escape(name) << "\": ";
-    write_histogram_json(os, metric.snapshot());
-    first = false;
+    write_histogram_json(w.key(name), metric.snapshot());
   }
-  os << (first ? "" : "\n  ") << "}\n}\n";
+  w.end().end();
+  os << '\n';
 }
 
 std::string Registry::to_json() const {
@@ -361,14 +345,6 @@ Gauge& gauge(const std::string& name) {
 
 Histogram& histogram(const std::string& name, const HistogramLayout& layout) {
   return Registry::instance().histogram(name, layout);
-}
-
-bool save_metrics_json(const std::string& path) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  Registry::instance().write_json(os);
-  os.flush();
-  return static_cast<bool>(os);
 }
 
 // ------------------------------------------------------------- ScopedTimer

@@ -42,6 +42,10 @@
 
 namespace rlbf::obs {
 
+namespace json {
+class Writer;  // obs/json.h
+}
+
 /// Global metrics switch (default off). Hooks test it with one relaxed
 /// atomic load; flipping it mid-run only affects subsequent hook calls.
 bool enabled();
@@ -142,7 +146,7 @@ std::string format_number(double value);
 /// Render one histogram snapshot exactly as the registry dump does:
 /// {"count": .., "sum": .., "min": .., "max": .., "p50": .., "p95": ..,
 /// "p99": .., "buckets": [{"le": "..", "count": ..}, ...]}.
-void write_histogram_json(std::ostream& os, const Histogram::Snapshot& snap);
+void write_histogram_json(json::Writer& w, const Histogram::Snapshot& snap);
 
 /// The process-wide registry. Lookup registers on first use; returned
 /// references stay valid for the process lifetime. Iteration order in
@@ -230,11 +234,6 @@ class CachedCounter {
   // Starts at the never-issued sentinel so the first add() resolves.
   std::atomic<std::uint64_t> generation_{~std::uint64_t{0}};
 };
-
-/// Write the registry dump to `path`; false on I/O error. Writes even
-/// when metrics are disabled (the dump is then empty-or-stale, which
-/// the caller asked for).
-bool save_metrics_json(const std::string& path);
 
 /// RAII wall-clock timer. Inactive (no clock read, no allocation) when
 /// metrics are disabled at construction. The elapsed time accumulates

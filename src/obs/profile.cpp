@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <utility>
+
+#include "obs/json.h"
 
 namespace rlbf::obs {
 
@@ -26,15 +27,12 @@ std::string fixed6(double v) {
   return buf;
 }
 
-std::string csv_field(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    out += c;
-    if (c == '"') out += '"';  // RFC 4180: quotes double inside quotes
-  }
-  out += "\"";
-  return out;
+/// The span columns every profile CSV row ends with.
+void write_csv_row(std::ostream& os, const ProfileRow& r) {
+  os << csv_field(r.name) << "," << r.count << "," << fixed6(r.self_seconds)
+     << "," << fixed6(r.total_seconds) << "," << fixed6(r.mean_seconds) << ","
+     << fixed6(r.p50_seconds) << "," << fixed6(r.p95_seconds) << ","
+     << fixed6(r.p99_seconds) << "\n";
 }
 
 }  // namespace
@@ -185,21 +183,7 @@ void write_profile_table(std::ostream& os, const std::vector<ProfileRow>& rows,
 
 void write_profile_csv(std::ostream& os, const std::vector<ProfileRow>& rows) {
   os << "span,count,self_s,total_s,mean_s,p50_s,p95_s,p99_s\n";
-  for (const ProfileRow& r : rows) {
-    os << csv_field(r.name) << "," << r.count << "," << fixed6(r.self_seconds)
-       << "," << fixed6(r.total_seconds) << "," << fixed6(r.mean_seconds)
-       << "," << fixed6(r.p50_seconds) << "," << fixed6(r.p95_seconds) << ","
-       << fixed6(r.p99_seconds) << "\n";
-  }
-}
-
-bool save_profile_csv(const std::string& path,
-                      const std::vector<ProfileRow>& rows) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  write_profile_csv(os, rows);
-  os.flush();
-  return static_cast<bool>(os);
+  for (const ProfileRow& r : rows) write_csv_row(os, r);
 }
 
 std::vector<WorkerProfile> profile_report_by_worker(
@@ -238,22 +222,10 @@ void write_worker_profile_csv(std::ostream& os,
   os << "pid,worker,span,count,self_s,total_s,mean_s,p50_s,p95_s,p99_s\n";
   for (const WorkerProfile& worker : workers) {
     for (const ProfileRow& r : worker.rows) {
-      os << worker.pid << "," << csv_field(worker.name) << ","
-         << csv_field(r.name) << "," << r.count << "," << fixed6(r.self_seconds)
-         << "," << fixed6(r.total_seconds) << "," << fixed6(r.mean_seconds)
-         << "," << fixed6(r.p50_seconds) << "," << fixed6(r.p95_seconds) << ","
-         << fixed6(r.p99_seconds) << "\n";
+      os << worker.pid << "," << csv_field(worker.name) << ",";
+      write_csv_row(os, r);
     }
   }
-}
-
-bool save_worker_profile_csv(const std::string& path,
-                             const std::vector<WorkerProfile>& workers) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  write_worker_profile_csv(os, workers);
-  os.flush();
-  return static_cast<bool>(os);
 }
 
 }  // namespace rlbf::obs

@@ -58,8 +58,6 @@ void write_profile_table(std::ostream& os, const std::vector<ProfileRow>& rows,
 
 /// Machine-readable CSV of every row (never truncated).
 void write_profile_csv(std::ostream& os, const std::vector<ProfileRow>& rows);
-bool save_profile_csv(const std::string& path,
-                      const std::vector<ProfileRow>& rows);
 
 /// One worker's (pid's) slice of a fleet profile.
 struct WorkerProfile {
@@ -88,7 +86,5 @@ void write_worker_profile_table(std::ostream& os,
 /// CSV of every worker's rows with leading pid/worker columns.
 void write_worker_profile_csv(std::ostream& os,
                               const std::vector<WorkerProfile>& workers);
-bool save_worker_profile_csv(const std::string& path,
-                             const std::vector<WorkerProfile>& workers);
 
 }  // namespace rlbf::obs

@@ -1,8 +1,6 @@
 #include "obs/series.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -12,23 +10,6 @@
 namespace rlbf::obs {
 
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("cannot open series file: " + path);
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (is.bad()) {
-    throw std::runtime_error("cannot read series file: " + path);
-  }
-  std::string text = buf.str();
-  if (text.empty()) {
-    throw std::runtime_error("series file is empty: " + path);
-  }
-  return text;
-}
 
 std::string line_origin(const std::string& origin, std::size_t line_no) {
   return origin + ":" + std::to_string(line_no);
@@ -98,29 +79,19 @@ bool SeriesRecorder::empty() const {
 
 void write_series_jsonl(std::ostream& os, const std::vector<Series>& series,
                         std::int64_t epoch_anchor_us) {
-  os << "{\"meta\": \"series\", \"version\": 1, \"epoch_anchor_us\": "
-     << epoch_anchor_us << "}\n";
+  json::Writer w(os);
+  w.object().key("meta").value("series").key("version").value(1);
+  w.key("epoch_anchor_us").value(epoch_anchor_us).end();
+  os << '\n';
   for (const Series& s : series) {
     for (const SeriesPoint& p : s.points) {
-      os << "{\"series\": \"" << json::escape(s.name) << "\", \"step\": " << p.step
-         << ", \"value\": " << format_number(p.value)
-         << ", \"wall_us\": " << p.wall_us;
-      if (!s.source.empty()) {
-        os << ", \"source\": \"" << json::escape(s.source) << "\"";
-      }
-      os << "}\n";
+      w.object().key("series").value(s.name).key("step").value(p.step);
+      w.key("value").value(p.value).key("wall_us").value(p.wall_us);
+      if (!s.source.empty()) w.key("source").value(s.source);
+      w.end();
+      os << '\n';
     }
   }
-}
-
-bool save_series_jsonl(const std::string& path,
-                       const std::vector<Series>& series,
-                       std::int64_t epoch_anchor_us) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  write_series_jsonl(os, series, epoch_anchor_us);
-  os.flush();
-  return static_cast<bool>(os);
 }
 
 SeriesDoc parse_series_jsonl(const std::string& text,
@@ -212,7 +183,7 @@ SeriesDoc parse_series_jsonl(const std::string& text,
 }
 
 SeriesDoc load_series_file(const std::string& path) {
-  return parse_series_jsonl(read_file(path), path);
+  return parse_series_jsonl(read_file(path, "series file"), path);
 }
 
 // --------------------------------------------------------------- merge

@@ -101,9 +101,6 @@ class SeriesRecorder {
 /// identical bytes.
 void write_series_jsonl(std::ostream& os, const std::vector<Series>& series,
                         std::int64_t epoch_anchor_us);
-bool save_series_jsonl(const std::string& path,
-                       const std::vector<Series>& series,
-                       std::int64_t epoch_anchor_us);
 
 /// A parsed series document: the series plus the meta header's anchor
 /// (0 when the producing recorder predates anchoring).

@@ -2,13 +2,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <utility>
 
-#include "obs/json.h"
+#include "obs/merge.h"
 
 namespace rlbf::obs {
 
@@ -171,30 +169,13 @@ std::vector<TraceEvent> trace_events_snapshot() {
 }
 
 void write_trace_json(std::ostream& os) {
-  const std::vector<TraceEvent> events = trace_events_snapshot();
-  os << "{\"traceEvents\": [";
-  bool first = true;
-  for (const TraceEvent& ev : events) {
-    os << (first ? "\n" : ",\n") << "  {\"name\": \"" << json::escape(ev.name)
-       << "\", \"cat\": \"" << json::escape(ev.category)
-       << "\", \"ph\": \"X\", \"ts\": " << ev.ts_us
-       << ", \"dur\": " << ev.dur_us << ", \"pid\": 1, \"tid\": " << ev.tid
-       << "}";
-    first = false;
+  // A one-process splice: every span on pid 1 and no process_name row.
+  SplicedTrace trace;
+  for (TraceEvent& ev : trace_events_snapshot()) {
+    trace.events.push_back({std::move(ev), 1});
   }
-  // epochAnchorUs: the wall-clock instant ts=0 corresponds to. Chrome
-  // and Perfetto ignore unknown top-level keys; obs::merge uses it to
-  // align traces from different processes onto one timeline.
-  os << (first ? "" : "\n") << "], \"epochAnchorUs\": "
-     << trace_epoch_anchor_us() << "}\n";
-}
-
-bool save_trace_json(const std::string& path) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  write_trace_json(os);
-  os.flush();
-  return static_cast<bool>(os);
+  trace.epoch_anchor_us = trace_epoch_anchor_us();
+  write_spliced_trace_json(os, trace);
 }
 
 void clear_trace() {

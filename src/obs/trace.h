@@ -3,7 +3,7 @@
 // Spans are RAII complete events ("ph":"X"): construction stamps the
 // start, destruction stamps the duration, and the finished event is
 // appended to a per-thread buffer — no shared write on the hot path
-// beyond one uncontended mutex. save_trace_json() merges every thread's
+// beyond one uncontended mutex. write_trace_json() merges every thread's
 // buffer into one {"traceEvents":[...]} document that loads directly in
 // chrome://tracing and Perfetto.
 //
@@ -91,11 +91,12 @@ std::int64_t trace_epoch_anchor_us();
 /// emission order within a thread) — for tests.
 std::vector<TraceEvent> trace_events_snapshot();
 
-/// Write the Chrome trace_event document. `write_trace_json` always
-/// writes a valid document (possibly with an empty traceEvents array);
-/// save_trace_json returns false on I/O error.
+/// Write the Chrome trace_event document: always a valid document
+/// (possibly with an empty traceEvents array), laid out exactly as
+/// obs::write_spliced_trace_json lays out a one-process splice (every
+/// span on pid 1, no process_name row). Files go through
+/// obs::write_file.
 void write_trace_json(std::ostream& os);
-bool save_trace_json(const std::string& path);
 
 /// Drop every buffered event (tests, bench repeats).
 void clear_trace();

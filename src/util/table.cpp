@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.h"
+
 namespace rlbf::util {
 
 Table::Table(std::vector<std::string> header) : header_(std::move(header)) {
@@ -44,24 +46,11 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-namespace {
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
-
 void Table::print_csv(std::ostream& os) const {
   auto emit = [&](const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < row.size(); ++c) {
       if (c) os << ',';
-      os << csv_escape(row[c]);
+      os << obs::csv_field(row[c]);
     }
     os << '\n';
   };
@@ -70,10 +59,7 @@ void Table::print_csv(std::ostream& os) const {
 }
 
 bool Table::save_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  print_csv(out);
-  return static_cast<bool>(out);
+  return obs::write_file(path, [&](std::ostream& os) { print_csv(os); });
 }
 
 bool write_gnuplot_script(const std::string& script_path, const std::string& csv_path,

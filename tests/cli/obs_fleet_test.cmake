@@ -12,7 +12,8 @@
 #      supervisor's per-job spans.
 #   4. `rlbf_run profile` on that trace is byte-deterministic.
 #   5. `rlbf_run bench --compare` exits 3 on a synthetically regressed
-#      candidate report, 0 on a self-compare, and writes a verdict JSON.
+#      candidate report, 0 on a self-compare, and writes a verdict JSON
+#      whose self-compare fields are all "ok" (no gated key missing).
 #
 #   cmake -DRLBF_RUN=<binary> -DWORK_DIR=<scratch> -P obs_fleet_test.cmake
 
@@ -197,6 +198,26 @@ if(json_err OR NOT self_verdict STREQUAL "ok")
   math(EXPR failures "${failures} + 1")
   message(WARNING "self-compare verdict should be 'ok', got "
                   "'${self_verdict}' ${json_err}")
+endif()
+# Schema drift: on a self-compare every gated field must be present and
+# compared. A report key renamed away from kCompareFields would show up
+# here as "skipped: missing" instead of silently leaving the gate.
+string(JSON n_fields ERROR_VARIABLE json_err LENGTH "${verdict}" fields)
+if(json_err OR n_fields EQUAL 0)
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "self-compare verdict has no fields ${json_err}")
+else()
+  math(EXPR last_field "${n_fields} - 1")
+  foreach(i RANGE ${last_field})
+    string(JSON field_name GET "${verdict}" fields ${i} field)
+    string(JSON field_status GET "${verdict}" fields ${i} status)
+    if(NOT field_status STREQUAL "ok")
+      math(EXPR failures "${failures} + 1")
+      message(WARNING "self-compare field ${field_name}: status "
+                      "'${field_status}', expected 'ok'")
+    endif()
+  endforeach()
+  message(STATUS "bench gate: all ${n_fields} fields compared on a self-compare")
 endif()
 # Synthetic regression: halve throughput far beyond any threshold. The
 # gate must exit 3 (regression), distinct from error (1) and usage (2).

@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "exp/sweep.h"
+#include "obs/json.h"
 
 namespace rlbf::exp {
 namespace {
@@ -170,8 +171,10 @@ ShardSet write_shard_set(const std::string& name, std::size_t total,
         set.dir + "/" + shard_summary_filename(summary.shard, "csv");
     const std::string json =
         set.dir + "/" + shard_summary_filename(summary.shard, "json");
-    EXPECT_TRUE(save_shard_summary_csv(csv, summary));
-    EXPECT_TRUE(save_shard_summary_json(json, summary));
+    EXPECT_TRUE(obs::write_file(
+        csv, [&](std::ostream& os) { write_shard_summary_csv(os, summary); }));
+    EXPECT_TRUE(obs::write_file(
+        json, [&](std::ostream& os) { write_shard_summary_json(os, summary); }));
     set.csv_paths.push_back(csv);
     set.json_paths.push_back(json);
   }
@@ -253,7 +256,9 @@ void rewrite_shard1(const ShardSet& set, const std::vector<std::size_t>& owns) {
   summary.total_instances = 4;
   summary.instances = owns;
   for (const std::size_t g : owns) summary.rows.push_back(row_for(g));
-  ASSERT_TRUE(save_shard_summary_csv(set.csv_paths[1], summary));
+  ASSERT_TRUE(obs::write_file(set.csv_paths[1], [&](std::ostream& os) {
+    write_shard_summary_csv(os, summary);
+  }));
 }
 
 TEST(MergeShards, NamesDuplicateInstances) {

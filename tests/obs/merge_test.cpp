@@ -11,6 +11,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -67,6 +68,121 @@ TEST(JsonTest, ErrorsNameOriginAndOffset) {
   EXPECT_THROW(obs::json::parse("{} trailing"), std::runtime_error);
   EXPECT_THROW(obs::json::parse("{\"a\": 1,}"), std::runtime_error);
   EXPECT_THROW(obs::json::parse("\"unterminated"), std::runtime_error);
+}
+
+// ---- json writer + artifact files -----------------------------------------
+
+/// Drive a Writer over a fresh stream and return what it wrote.
+template <typename Fn>
+std::string written(Fn fn) {
+  std::ostringstream os;
+  obs::json::Writer w(os);
+  fn(w);
+  return os.str();
+}
+
+TEST(JsonWriterTest, CompactAndLineSeparators) {
+  EXPECT_EQ(written([](obs::json::Writer& w) {
+              w.array().value(1).value("x").value(true).end();
+            }),
+            "[1, \"x\", true]");
+  EXPECT_EQ(written([](obs::json::Writer& w) {
+              w.object(true).key("a").value(1).key("b").value(2).end();
+            }),
+            "{\n  \"a\": 1,\n  \"b\": 2\n}");
+}
+
+TEST(JsonWriterTest, IndentCountsOnlyLineLayoutContainers) {
+  EXPECT_EQ(written([](obs::json::Writer& w) {
+              w.object(true).key("a").object(true).key("b").array(true);
+              w.value(1).end().end();
+              w.key("c").array().object().key("d").array(true).value(2);
+              w.end().end().end().end();
+            }),
+            "{\n"
+            "  \"a\": {\n"
+            "    \"b\": [\n"
+            "      1\n"
+            "    ]\n"
+            "  },\n"
+            "  \"c\": [{\"d\": [\n"
+            "    2\n"
+            "  ]}]\n"
+            "}");
+}
+
+TEST(JsonWriterTest, EmptyContainersPrintAsBraces) {
+  EXPECT_EQ(written([](obs::json::Writer& w) {
+              w.object(true).key("o").object(true).end();
+              w.key("a").array(true).end().key("c").array().end().end();
+            }),
+            "{\n  \"o\": {},\n  \"a\": [],\n  \"c\": []\n}");
+  EXPECT_EQ(written([](obs::json::Writer& w) { w.object().end(); }), "{}");
+}
+
+TEST(JsonWriterTest, EscapesKeysAndStrings) {
+  EXPECT_EQ(written([](obs::json::Writer& w) {
+              w.object().key("a\"b\n").value(std::string("c\\d\x01")).end();
+            }),
+            "{\"a\\\"b\\n\": \"c\\\\d\\u0001\"}");
+}
+
+TEST(JsonWriterTest, NumbersAndRawTokens) {
+  EXPECT_EQ(written([](obs::json::Writer& w) {
+              w.array().value(0.1).value(std::nan("")).value(-std::numeric_limits<double>::infinity());
+              w.value(std::int64_t{-5}).value(~std::uint64_t{0});
+              w.value(std::size_t{3}).raw("0.10000000000000001").end();
+            }),
+            "[0.1, null, -1e999, -5, 18446744073709551615, 3, "
+            "0.10000000000000001]");
+}
+
+TEST(JsonWriterTest, ConsecutiveTopLevelValuesFormJsonl) {
+  std::ostringstream os;
+  obs::json::Writer w(os);
+  w.object().key("a").value(1).end();
+  os << '\n';
+  w.object().key("b").value(2).end();
+  os << '\n';
+  EXPECT_EQ(os.str(), "{\"a\": 1}\n{\"b\": 2}\n");
+}
+
+TEST(ArtifactFileTest, WriteThenReadRoundTrips) {
+  const std::string path = "merge_test_artifact.txt";
+  ASSERT_TRUE(obs::write_file(path, [](std::ostream& os) { os << "a\nb"; }));
+  EXPECT_EQ(obs::read_file(path, "test file"), "a\nb");
+  // Truncating: a shorter rewrite leaves no tail of the old content.
+  ASSERT_TRUE(obs::write_file(path, [](std::ostream& os) { os << "c"; }));
+  EXPECT_EQ(obs::read_file(path, "test file"), "c");
+  std::filesystem::remove(path);
+  EXPECT_FALSE(obs::write_file("no/such/dir/out.txt",
+                               [](std::ostream& os) { os << "x"; }));
+}
+
+TEST(ArtifactFileTest, ReadErrorsNameTheArtifactAndPath) {
+  try {
+    obs::read_file("no/such/report.json", "bench report");
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "cannot open bench report: no/such/report.json");
+  }
+  const std::string empty_path = "merge_test_empty.txt";
+  std::ofstream(empty_path, std::ios::trunc).close();
+  try {
+    obs::read_file(empty_path, "series file");
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "series file is empty: " + empty_path);
+  }
+  std::filesystem::remove(empty_path);
+}
+
+TEST(ArtifactFileTest, CsvFieldQuotesOnlyWhenNeeded) {
+  EXPECT_EQ(obs::csv_field("plain"), "plain");
+  EXPECT_EQ(obs::csv_field("a,b"), "\"a,b\"");
+  EXPECT_EQ(obs::csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(obs::csv_field("two\nlines"), "\"two\nlines\"");
 }
 
 // ---- metrics parse + merge ----------------------------------------------
@@ -216,6 +332,41 @@ TEST(MergeMetricsTest, MergedJsonRoundTripsThroughTheParser) {
   EXPECT_DOUBLE_EQ(hist.number_at("count"), 4.0);
   EXPECT_TRUE(hist.find("p50") != nullptr);
   EXPECT_TRUE(hist.find("p99") != nullptr);
+}
+
+TEST(MergeMetricsTest, MergedJsonLayoutIsPinned) {
+  obs::MetricsDoc worker;
+  worker.counters["c"] = 1;
+  worker.gauges["g"] = 2.5;
+  obs::MetricsDoc supervisor;
+  supervisor.counters["c"] = 2;
+  supervisor.counters["d"] = 4;
+  supervisor.gauges["g"] = 0.25;
+  obs::Histogram::Snapshot snap;
+  snap.upper_bounds = {1.0};
+  snap.bucket_counts = {1, 0};
+  snap.count = 1;
+  snap.sum = snap.min = snap.max = 0.5;
+  supervisor.histograms["h"] = snap;
+  std::ostringstream os;
+  obs::write_merged_metrics_json(
+      os, obs::merge_metrics({{"worker0", worker}, {"supervisor", supervisor}}));
+  EXPECT_EQ(os.str(),
+            "{\n"
+            "  \"sources\": [\"worker0\", \"supervisor\"],\n"
+            "  \"counters\": {\n"
+            "    \"c\": 3,\n"
+            "    \"d\": 4\n"
+            "  },\n"
+            "  \"gauges\": {\n"
+            "    \"g\": {\"value\": 0.25, \"source\": \"supervisor\"}\n"
+            "  },\n"
+            "  \"histograms\": {\n"
+            "    \"h\": {\"count\": 1, \"sum\": 0.5, \"min\": 0.5, \"max\": 0.5, "
+            "\"p50\": 0.5, \"p95\": 0.5, \"p99\": 0.5, \"buckets\": "
+            "[{\"le\": \"1\", \"count\": 1}, {\"le\": \"inf\", \"count\": 0}]}\n"
+            "  }\n"
+            "}\n");
 }
 
 // ---- trace parse + splice -----------------------------------------------

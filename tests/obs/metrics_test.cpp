@@ -140,6 +140,56 @@ TEST_F(MetricsTest, JsonDumpIsDeterministicAndSorted) {
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
+// The registry dump's exact bytes: sections and members one per line,
+// histograms compact on one line, an empty section as {}.
+TEST_F(MetricsTest, JsonDumpLayoutIsPinned) {
+  obs::Registry::instance().clear_for_testing();
+  obs::counter("c.events").add(7);
+  obs::counter("a.first").add(1);
+  obs::gauge("g.util").set(0.25);
+  obs::Histogram& h =
+      obs::histogram("h.seconds", obs::exponential_buckets(1.0, 10.0, 2));
+  h.observe(0.5);
+  h.observe(5.0);
+  EXPECT_EQ(obs::Registry::instance().to_json(),
+            "{\n"
+            "  \"counters\": {\n"
+            "    \"a.first\": 1,\n"
+            "    \"c.events\": 7\n"
+            "  },\n"
+            "  \"gauges\": {\n"
+            "    \"g.util\": 0.25\n"
+            "  },\n"
+            "  \"histograms\": {\n"
+            "    \"h.seconds\": {\"count\": 2, \"sum\": 5.5, \"min\": 0.5, "
+            "\"max\": 5, \"p50\": 1, \"p95\": 5, \"p99\": 5, \"buckets\": "
+            "[{\"le\": \"1\", \"count\": 1}, {\"le\": \"10\", \"count\": 1}, "
+            "{\"le\": \"inf\", \"count\": 0}]}\n"
+            "  }\n"
+            "}\n");
+  obs::Registry::instance().clear_for_testing();
+}
+
+TEST_F(MetricsTest, JsonDumpRendersEmptySectionsAsBraces) {
+  obs::Registry::instance().clear_for_testing();
+  EXPECT_EQ(obs::Registry::instance().to_json(),
+            "{\n"
+            "  \"counters\": {},\n"
+            "  \"gauges\": {},\n"
+            "  \"histograms\": {}\n"
+            "}\n");
+  obs::counter("only.counter").add(2);
+  EXPECT_EQ(obs::Registry::instance().to_json(),
+            "{\n"
+            "  \"counters\": {\n"
+            "    \"only.counter\": 2\n"
+            "  },\n"
+            "  \"gauges\": {},\n"
+            "  \"histograms\": {}\n"
+            "}\n");
+  obs::Registry::instance().clear_for_testing();
+}
+
 TEST_F(MetricsTest, ResetZeroesValuesButKeepsRegistrations) {
   obs::Counter& c = obs::counter("test.reset_me");
   c.add(7);

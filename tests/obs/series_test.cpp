@@ -96,6 +96,22 @@ TEST(SeriesTest, SourceTagSurvivesTheRoundTrip) {
   EXPECT_EQ(render(doc.series, doc.epoch_anchor_us), text);
 }
 
+TEST(SeriesTest, JsonlLayoutIsPinned) {
+  obs::Series plain;
+  plain.name = "a";
+  plain.points = {{1, 0.5, 100}, {2, 0.25, 200}};
+  obs::Series tagged;
+  tagged.name = "b";
+  tagged.source = "worker0";
+  tagged.points = {{-3, 4.0, 300}};
+  EXPECT_EQ(render({plain, tagged}, 7),
+            "{\"meta\": \"series\", \"version\": 1, \"epoch_anchor_us\": 7}\n"
+            "{\"series\": \"a\", \"step\": 1, \"value\": 0.5, \"wall_us\": 100}\n"
+            "{\"series\": \"a\", \"step\": 2, \"value\": 0.25, \"wall_us\": 200}\n"
+            "{\"series\": \"b\", \"step\": -3, \"value\": 4, \"wall_us\": 300, "
+            "\"source\": \"worker0\"}\n");
+}
+
 // ---- reader errors ------------------------------------------------------
 
 TEST(SeriesTest, ReaderRequiresTheMetaHeader) {

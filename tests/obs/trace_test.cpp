@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/merge.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -130,6 +131,51 @@ TEST_F(TraceTest, EmptyTraceIsStillAValidDocument) {
   std::ostringstream os;
   obs::write_trace_json(os);
   EXPECT_EQ(os.str().rfind("{\"traceEvents\": [], \"epochAnchorUs\": ", 0), 0u);
+}
+
+TEST_F(TraceTest, WriteTraceJsonIsTheOneProcessSplice) {
+  {
+    obs::Span span("outer", "test");
+    obs::trace_mark("mark", "test");
+  }
+  // Every span on pid 1, no process_name row: the same bytes the
+  // spliced-trace writer lays out for that splice.
+  obs::SplicedTrace one;
+  for (const obs::TraceEvent& ev : obs::trace_events_snapshot()) {
+    one.events.push_back({ev, 1});
+  }
+  one.epoch_anchor_us = obs::trace_epoch_anchor_us();
+  std::ostringstream direct, spliced;
+  obs::write_trace_json(direct);
+  obs::write_spliced_trace_json(spliced, one);
+  EXPECT_EQ(direct.str(), spliced.str());
+}
+
+TEST(SplicedTraceLayoutTest, ProcessRowsThenSpansOnePerLine) {
+  obs::SplicedTrace trace;
+  trace.processes = {{1, "supervisor"}, {2, "worker \"0\""}};
+  trace.events.push_back({{"sim.run", "sim", 10, 5, 0}, 1});
+  trace.events.push_back({{"job x", "dist", 12, 3, 1}, 2});
+  trace.epoch_anchor_us = 1700;
+  std::ostringstream os;
+  obs::write_spliced_trace_json(os, trace);
+  EXPECT_EQ(os.str(),
+            "{\"traceEvents\": [\n"
+            "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
+            "\"args\": {\"name\": \"supervisor\"}},\n"
+            "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 2, "
+            "\"args\": {\"name\": \"worker \\\"0\\\"\"}},\n"
+            "  {\"name\": \"sim.run\", \"cat\": \"sim\", \"ph\": \"X\", "
+            "\"ts\": 10, \"dur\": 5, \"pid\": 1, \"tid\": 0},\n"
+            "  {\"name\": \"job x\", \"cat\": \"dist\", \"ph\": \"X\", "
+            "\"ts\": 12, \"dur\": 3, \"pid\": 2, \"tid\": 1}\n"
+            "], \"epochAnchorUs\": 1700}\n");
+}
+
+TEST(SplicedTraceLayoutTest, ZeroEventsIsAnEmptyArray) {
+  std::ostringstream os;
+  obs::write_spliced_trace_json(os, obs::SplicedTrace{});
+  EXPECT_EQ(os.str(), "{\"traceEvents\": [], \"epochAnchorUs\": 0}\n");
 }
 
 TEST_F(TraceTest, EpochAnchorIsLatchedOnceTracingEnables) {

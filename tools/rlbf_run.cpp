@@ -54,7 +54,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -173,6 +173,21 @@ obs::RegistrySampler& registry_sampler() {
   return sampler;
 }
 
+/// Write one obs sink file through obs::write_file: logs "<what> written
+/// to <path>" and returns 0, or names the flag on stderr and returns 1.
+/// An empty path (flag not given) writes nothing and returns 0.
+int write_sink(const char* flag, const std::string& path,
+               const std::string& what,
+               const std::function<void(std::ostream&)>& write) {
+  if (path.empty()) return 0;
+  if (obs::write_file(path, write)) {
+    util::log_info(what, " written to ", path);
+    return 0;
+  }
+  std::cerr << "rlbf_run: cannot write " << flag << "=" << path << "\n";
+  return 1;
+}
+
 /// The observability surface run/train/orchestrate (and bench) share:
 /// --metrics_out / --trace_out enable the corresponding obs subsystem
 /// for the process and dump its sink to a file at successful exit, and
@@ -225,38 +240,21 @@ struct ObsFlags {
   /// Dump the requested sinks; returns 0, or 1 on I/O failure (after a
   /// run's real work succeeded, a lost dump must still fail loudly).
   int save_obs() const {
-    int rc = 0;
-    if (!metrics_out.empty()) {
-      if (obs::save_metrics_json(metrics_out)) {
-        util::log_info("metrics written to ", metrics_out);
-      } else {
-        std::cerr << "rlbf_run: cannot write --metrics_out=" << metrics_out
-                  << "\n";
-        rc = 1;
-      }
-    }
-    if (!trace_out.empty()) {
-      if (obs::save_trace_json(trace_out)) {
-        util::log_info("trace written to ", trace_out);
-      } else {
-        std::cerr << "rlbf_run: cannot write --trace_out=" << trace_out
-                  << "\n";
-        rc = 1;
-      }
-    }
+    int rc = write_sink("--metrics_out", metrics_out, "metrics",
+                        [](std::ostream& os) {
+                          obs::Registry::instance().write_json(os);
+                        });
+    rc |= write_sink("--trace_out", trace_out, "trace", obs::write_trace_json);
     if (!series_out.empty()) {
       // Final registry latch first, so a metrics-enabled run's series
       // end with the closing counter deltas (no-op otherwise).
       registry_sampler().sample_once();
       const obs::SeriesRecorder& recorder = series_recorder();
-      if (obs::save_series_jsonl(series_out, recorder.snapshot(),
-                                 recorder.epoch_anchor_us())) {
-        util::log_info("series written to ", series_out);
-      } else {
-        std::cerr << "rlbf_run: cannot write --series_out=" << series_out
-                  << "\n";
-        rc = 1;
-      }
+      rc |= write_sink("--series_out", series_out, "series",
+                       [&](std::ostream& os) {
+                         obs::write_series_jsonl(os, recorder.snapshot(),
+                                                 recorder.epoch_anchor_us());
+                       });
     }
     return rc;
   }
@@ -286,14 +284,11 @@ int save_fleet_obs(const ObsFlags& obs_flags,
                       obs::parse_metrics_json(
                           obs::Registry::instance().to_json(), "supervisor")});
       const obs::MergedMetrics merged = obs::merge_metrics(docs);
-      if (obs::save_merged_metrics_json(obs_flags.metrics_out, merged)) {
-        util::log_info("merged metrics (", merged.sources.size(),
-                       " source(s)) written to ", obs_flags.metrics_out);
-      } else {
-        std::cerr << "rlbf_run: cannot write --metrics_out="
-                  << obs_flags.metrics_out << "\n";
-        rc = 1;
-      }
+      rc |= write_sink(
+          "--metrics_out", obs_flags.metrics_out,
+          "merged metrics (" + std::to_string(merged.sources.size()) +
+              " source(s))",
+          [&](std::ostream& os) { obs::write_merged_metrics_json(os, merged); });
     } catch (const std::exception& e) {
       std::cerr << "rlbf_run: cannot merge worker metrics: " << e.what()
                 << "\n";
@@ -316,14 +311,11 @@ int save_fleet_obs(const ObsFlags& obs_flags,
                         obs::load_trace_file(job.trace_path)});
       }
       const obs::SplicedTrace spliced = obs::splice_traces(docs);
-      if (obs::save_spliced_trace_json(obs_flags.trace_out, spliced)) {
-        util::log_info("merged trace (", spliced.processes.size(),
-                       " process(es)) written to ", obs_flags.trace_out);
-      } else {
-        std::cerr << "rlbf_run: cannot write --trace_out="
-                  << obs_flags.trace_out << "\n";
-        rc = 1;
-      }
+      rc |= write_sink(
+          "--trace_out", obs_flags.trace_out,
+          "merged trace (" + std::to_string(spliced.processes.size()) +
+              " process(es))",
+          [&](std::ostream& os) { obs::write_spliced_trace_json(os, spliced); });
     } catch (const std::exception& e) {
       std::cerr << "rlbf_run: cannot splice worker traces: " << e.what()
                 << "\n";
@@ -346,15 +338,12 @@ int save_fleet_obs(const ObsFlags& obs_flags,
                         obs::load_series_file(job.series_path)});
       }
       const obs::SeriesDoc merged = obs::merge_series(docs);
-      if (obs::save_series_jsonl(obs_flags.series_out, merged.series,
-                                 merged.epoch_anchor_us)) {
-        util::log_info("merged series (", docs.size(),
-                       " source(s)) written to ", obs_flags.series_out);
-      } else {
-        std::cerr << "rlbf_run: cannot write --series_out="
-                  << obs_flags.series_out << "\n";
-        rc = 1;
-      }
+      rc |= write_sink(
+          "--series_out", obs_flags.series_out,
+          "merged series (" + std::to_string(docs.size()) + " source(s))",
+          [&](std::ostream& os) {
+            obs::write_series_jsonl(os, merged.series, merged.epoch_anchor_us);
+          });
     } catch (const std::exception& e) {
       std::cerr << "rlbf_run: cannot merge worker series: " << e.what()
                 << "\n";
@@ -574,13 +563,21 @@ int run(int argc, char** argv) {
                 << ec.message() << "\n";
       return 1;
     }
+    const bool csv = args.format == "csv" || args.format == "both";
+    const bool json = args.format == "json" || args.format == "both";
     bool ok = true;
+    const auto save = [&](const std::string& name,
+                          const std::function<void(std::ostream&)>& write) {
+      ok &= obs::write_file(args.out_dir + "/" + name, write);
+    };
     if (args.shard_text.empty()) {
-      if (args.format == "csv" || args.format == "both") {
-        ok &= exp::save_summary_csv(args.out_dir + "/summary.csv", rows);
+      if (csv) {
+        save("summary.csv",
+             [&](std::ostream& os) { exp::write_summary_csv(os, rows); });
       }
-      if (args.format == "json" || args.format == "both") {
-        ok &= exp::save_summary_json(args.out_dir + "/summary.json", rows);
+      if (json) {
+        save("summary.json",
+             [&](std::ostream& os) { exp::write_summary_json(os, rows); });
       }
     } else {
       // Shard-tagged artifacts: rows carry their global instance index
@@ -591,22 +588,21 @@ int run(int argc, char** argv) {
       summary.total_instances = total_instances;
       summary.instances = instances;
       summary.rows = rows;
-      if (args.format == "csv" || args.format == "both") {
-        ok &= exp::save_shard_summary_csv(
-            args.out_dir + "/" + exp::shard_summary_filename(shard, "csv"),
-            summary);
+      if (csv) {
+        save(exp::shard_summary_filename(shard, "csv"), [&](std::ostream& os) {
+          exp::write_shard_summary_csv(os, summary);
+        });
       }
-      if (args.format == "json" || args.format == "both") {
-        ok &= exp::save_shard_summary_json(
-            args.out_dir + "/" + exp::shard_summary_filename(shard, "json"),
-            summary);
+      if (json) {
+        save(exp::shard_summary_filename(shard, "json"), [&](std::ostream& os) {
+          exp::write_shard_summary_json(os, summary);
+        });
       }
     }
     if (args.per_job) {
       for (const exp::ScenarioRun& r : runs) {
-        const std::string path =
-            args.out_dir + "/" + exp::per_job_filename(r.scenario, r.seed);
-        ok &= exp::save_per_job_csv(path, r);
+        save(exp::per_job_filename(r.scenario, r.seed),
+             [&](std::ostream& os) { exp::write_per_job_csv(os, r); });
       }
     }
     if (!ok) {
@@ -1580,7 +1576,9 @@ int profile(int argc, char** argv) {
     std::cout << "# " << workers.size() << " worker(s), " << doc.events.size()
               << " event(s) from " << path << "\n";
     if (!args.csv_out.empty()) {
-      if (!obs::save_worker_profile_csv(args.csv_out, workers)) {
+      if (!obs::write_file(args.csv_out, [&](std::ostream& os) {
+            obs::write_worker_profile_csv(os, workers);
+          })) {
         std::cerr << "rlbf_run profile: cannot write --csv_out="
                   << args.csv_out << "\n";
         return 1;
@@ -1594,7 +1592,9 @@ int profile(int argc, char** argv) {
   std::cout << "# " << rows.size() << " span name(s), " << doc.events.size()
             << " event(s) from " << path << "\n";
   if (!args.csv_out.empty()) {
-    if (!obs::save_profile_csv(args.csv_out, rows)) {
+    if (!obs::write_file(args.csv_out, [&](std::ostream& os) {
+          obs::write_profile_csv(os, rows);
+        })) {
       std::cerr << "rlbf_run profile: cannot write --csv_out=" << args.csv_out
                 << "\n";
       return 1;
@@ -1704,22 +1704,19 @@ void render_curves_aligned(std::ostream& os,
 /// JSON rendering: the full point lists as [step, value] pairs — the
 /// wall-clock field is deliberately absent (the determinism contract).
 void render_curves_json(std::ostream& os, const obs::SeriesDoc& doc) {
-  os << "{\n  \"series\": [";
-  for (std::size_t i = 0; i < doc.series.size(); ++i) {
-    const obs::Series& s = doc.series[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
-       << obs::json::escape(s.name) << "\"";
-    if (!s.source.empty()) {
-      os << ", \"source\": \"" << obs::json::escape(s.source) << "\"";
+  obs::json::Writer w(os);
+  w.object(true).key("series").array(true);
+  for (const obs::Series& s : doc.series) {
+    w.object().key("name").value(s.name);
+    if (!s.source.empty()) w.key("source").value(s.source);
+    w.key("points").array();
+    for (const obs::SeriesPoint& p : s.points) {
+      w.array().value(p.step).value(p.value).end();
     }
-    os << ", \"points\": [";
-    for (std::size_t k = 0; k < s.points.size(); ++k) {
-      os << (k == 0 ? "" : ", ") << "[" << s.points[k].step << ", "
-         << obs::format_number(s.points[k].value) << "]";
-    }
-    os << "]}";
+    w.end().end();
   }
-  os << "\n  ]\n}\n";
+  w.end().end();
+  os << "\n";
 }
 
 /// The store-meta curves of one trained entry, as 1-based-epoch series.
@@ -1862,10 +1859,8 @@ int curves(int argc, char** argv) {
     std::cout << "# " << doc.series.size() << " series, " << points
               << " point(s)\n";
   } else {
-    std::ofstream os(args.out, std::ios::binary | std::ios::trunc);
-    os << rendered.str();
-    os.flush();
-    if (!os) {
+    if (!obs::write_file(args.out,
+                         [&](std::ostream& os) { os << rendered.str(); })) {
       std::cerr << "rlbf_run curves: cannot write --out=" << args.out << "\n";
       return 1;
     }
@@ -2030,17 +2025,6 @@ bool json_equal(const obs::json::Value& a, const obs::json::Value& b) {
   return false;
 }
 
-std::string slurp_report(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open bench report: " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (buf.str().empty()) {
-    throw std::runtime_error("bench report is empty: " + path);
-  }
-  return buf.str();
-}
-
 /// Diff two bench reports field by field; 0 = clean, 3 = regression.
 /// Missing fields (an older schema on either side) and config-sensitive
 /// fields across differing configs are skipped BY NAME in the table —
@@ -2052,9 +2036,9 @@ int bench_compare(const std::string& base_path, const std::string& cand_path,
     return 2;
   }
   const obs::json::Value base =
-      obs::json::parse(slurp_report(base_path), base_path);
+      obs::json::parse(obs::read_file(base_path, "bench report"), base_path);
   const obs::json::Value cand =
-      obs::json::parse(slurp_report(cand_path), cand_path);
+      obs::json::parse(obs::read_file(cand_path, "bench report"), cand_path);
   const obs::json::Value* base_cfg = base.find("config");
   const obs::json::Value* cand_cfg = cand.find("config");
   const bool config_match =
@@ -2144,30 +2128,28 @@ int bench_compare(const std::string& base_path, const std::string& cand_path,
             << "\n";
 
   if (!verdict_out.empty()) {
-    std::ofstream os(verdict_out, std::ios::binary | std::ios::trunc);
-    os << "{\n"
-       << "  \"base\": \"" << obs::json::escape(base_path) << "\",\n"
-       << "  \"candidate\": \"" << obs::json::escape(cand_path) << "\",\n"
-       << "  \"threshold\": " << exp::format_double_exact(threshold) << ",\n"
-       << "  \"config_match\": " << (config_match ? "true" : "false") << ",\n"
-       << "  \"fields\": [";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      os << (i == 0 ? "\n" : ",\n") << "    {\"field\": \"" << row.field
-         << "\", \"base\": "
-         << (row.has_base ? exp::format_double_exact(row.base) : "null")
-         << ", \"candidate\": "
-         << (row.has_cand ? exp::format_double_exact(row.cand) : "null")
-         << ", \"change\": "
-         << (row.has_change ? exp::format_double_exact(row.change) : "null")
-         << ", \"status\": \"" << row.status << "\"}";
-    }
-    os << "\n  ],\n"
-       << "  \"regressions\": " << regressions << ",\n"
-       << "  \"verdict\": \"" << (regressions == 0 ? "ok" : "regression")
-       << "\"\n}\n";
-    os.flush();
-    if (!os) {
+    const auto exact_or_null = [](bool has, double v) {
+      return has ? exp::format_double_exact(v) : std::string("null");
+    };
+    const bool written = obs::write_file(verdict_out, [&](std::ostream& os) {
+      obs::json::Writer w(os);
+      w.object(true).key("base").value(base_path);
+      w.key("candidate").value(cand_path);
+      w.key("threshold").raw(exp::format_double_exact(threshold));
+      w.key("config_match").value(config_match);
+      w.key("fields").array(true);
+      for (const Row& row : rows) {
+        w.object().key("field").value(row.field);
+        w.key("base").raw(exact_or_null(row.has_base, row.base));
+        w.key("candidate").raw(exact_or_null(row.has_cand, row.cand));
+        w.key("change").raw(exact_or_null(row.has_change, row.change));
+        w.key("status").value(row.status).end();
+      }
+      w.end().key("regressions").value(regressions);
+      w.key("verdict").value(regressions == 0 ? "ok" : "regression").end();
+      os << "\n";
+    });
+    if (!written) {
       std::cerr << "rlbf_run bench: cannot write --verdict_out=" << verdict_out
                 << "\n";
       return 1;
@@ -2297,83 +2279,55 @@ int bench(int argc, char** argv) {
   const auto mean = [](const obs::Histogram::Snapshot& h) {
     return h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0;
   };
-  std::ofstream os(args.out, std::ios::binary | std::ios::trunc);
-  os << "{\n"
-     << "  \"bench\": \"rlbf_run bench\",\n"
-     << "  \"schema_version\": 3,\n"
-     << "  \"source\": {\n"
-     << "    \"tag\": \"" << obs::json::escape(args.tag) << "\",\n"
-     << "    \"platform\": \"" << platform_string() << "\",\n"
-     << "    \"libm\": \"" << util::libm_fingerprint_id() << "\"\n"
-     << "  },\n"
-     << "  \"config\": {\n"
-     << "    \"scenario\": \"" << base.name << "\",\n"
-     << "    \"jobs\": " << args.jobs << ",\n"
-     << "    \"sim_repeat\": " << args.sim_repeat << ",\n"
-     << "    \"train_spec\": \"" << tspec.name << "\",\n"
-     << "    \"epochs\": " << tspec.trainer.epochs << ",\n"
-     << "    \"dist_jobs\": " << args.dist_jobs << ",\n"
-     << "    \"seed\": " << args.seed << ",\n"
-     << "    \"threads\": " << args.threads << ",\n"
-     << "    \"quick\": " << (args.quick ? "true" : "false") << "\n"
-     << "  },\n"
-     << "  \"sim\": {\n"
-     << "    \"runs\": " << sim_hist.count << ",\n"
-     << "    \"trace_jobs\": " << (sim_runs.empty() ? 0 : sim_runs.front().jobs)
-     << ",\n"
-     << "    \"wall_seconds_total\": " << num(sim_hist.sum) << ",\n"
-     << "    \"wall_seconds_min\": " << num(sim_hist.min) << ",\n"
-     << "    \"wall_seconds_mean\": " << num(mean(sim_hist)) << ",\n"
-     << "    \"events_processed\": " << sim_events << ",\n"
-     << "    \"events_per_second\": " << num(events_per_second) << "\n"
-     << "  },\n"
-     << "  \"trace_cache\": {\n"
-     << "    \"hits\": " << cache.hits << ",\n"
-     << "    \"misses\": " << cache.misses << ",\n"
-     << "    \"evictions\": " << cache.evictions << ",\n"
-     << "    \"entries\": " << cache.entries << "\n"
-     << "  },\n"
-     << "  \"train\": {\n"
-     << "    \"spec\": \"" << tspec.name << "\",\n"
-     << "    \"epochs_run\": " << outcome.epochs_run << ",\n"
-     << "    \"wall_seconds\": " << num(train_wall) << ",\n"
-     << "    \"epoch_seconds_min\": " << num(epoch_hist.min) << ",\n"
-     << "    \"epoch_seconds_mean\": " << num(mean(epoch_hist)) << "\n"
-     << "  },\n"
-     << "  \"sweep\": {\n"
-     << "    \"instances\": " << sweep_hist.count << ",\n"
-     << "    \"instance_seconds_mean\": " << num(mean(sweep_hist)) << "\n"
-     << "  },\n"
-     << "  \"dist\": {\n"
-     << "    \"jobs\": " << report.jobs.size() << ",\n"
-     << "    \"attempts\": " << report.total_attempts << ",\n"
-     << "    \"job_seconds_total\": " << num(dist_hist.sum) << ",\n"
-     << "    \"worker_utilization\": " << num(worker_utilization) << "\n"
-     << "  },\n"
-     // Schema v3: deterministic work counters across every phase — the
-     // hot-path evidence (batched NN passes, skipped queue sorts) that
-     // wall clocks alone cannot attribute.
-     << "  \"counters\": {\n"
-     << "    \"nn.forward_calls\": " << obs::counter("nn.forward_calls").value()
-     << ",\n"
-     << "    \"nn.forward_value_calls\": "
-     << obs::counter("nn.forward_value_calls").value() << ",\n"
-     << "    \"nn.batched_forward_calls\": "
-     << obs::counter("nn.batched_forward_calls").value() << ",\n"
-     << "    \"nn.batched_forward_rows\": "
-     << obs::counter("nn.batched_forward_rows").value() << ",\n"
-     << "    \"nn.backward_calls\": " << obs::counter("nn.backward_calls").value()
-     << ",\n"
-     << "    \"sim.schedule_recomputations\": "
-     << obs::counter("sim.schedule_recomputations").value() << ",\n"
-     << "    \"sim.queue_incremental_inserts\": "
-     << obs::counter("sim.queue_incremental_inserts").value() << ",\n"
-     << "    \"sim.backfill_decisions\": "
-     << obs::counter("sim.backfill_decisions").value() << "\n"
-     << "  }\n"
-     << "}\n";
-  os.flush();
-  if (!os) {
+  const auto write_report = [&](std::ostream& os) {
+    obs::json::Writer w(os);
+    w.object(true).key("bench").value("rlbf_run bench");
+    w.key("schema_version").value(3);
+    w.key("source").object(true).key("tag").value(args.tag);
+    w.key("platform").value(platform_string());
+    w.key("libm").value(util::libm_fingerprint_id()).end();
+    w.key("config").object(true).key("scenario").value(base.name);
+    w.key("jobs").value(args.jobs).key("sim_repeat").value(args.sim_repeat);
+    w.key("train_spec").value(tspec.name);
+    w.key("epochs").value(tspec.trainer.epochs);
+    w.key("dist_jobs").value(args.dist_jobs).key("seed").value(args.seed);
+    w.key("threads").value(args.threads).key("quick").value(args.quick).end();
+    w.key("sim").object(true).key("runs").value(sim_hist.count);
+    w.key("trace_jobs").value(sim_runs.empty() ? 0 : sim_runs.front().jobs);
+    w.key("wall_seconds_total").raw(num(sim_hist.sum));
+    w.key("wall_seconds_min").raw(num(sim_hist.min));
+    w.key("wall_seconds_mean").raw(num(mean(sim_hist)));
+    w.key("events_processed").value(sim_events);
+    w.key("events_per_second").raw(num(events_per_second)).end();
+    w.key("trace_cache").object(true).key("hits").value(cache.hits);
+    w.key("misses").value(cache.misses).key("evictions").value(cache.evictions);
+    w.key("entries").value(cache.entries).end();
+    w.key("train").object(true).key("spec").value(tspec.name);
+    w.key("epochs_run").value(outcome.epochs_run);
+    w.key("wall_seconds").raw(num(train_wall));
+    w.key("epoch_seconds_min").raw(num(epoch_hist.min));
+    w.key("epoch_seconds_mean").raw(num(mean(epoch_hist))).end();
+    w.key("sweep").object(true).key("instances").value(sweep_hist.count);
+    w.key("instance_seconds_mean").raw(num(mean(sweep_hist))).end();
+    w.key("dist").object(true).key("jobs").value(report.jobs.size());
+    w.key("attempts").value(report.total_attempts);
+    w.key("job_seconds_total").raw(num(dist_hist.sum));
+    w.key("worker_utilization").raw(num(worker_utilization)).end();
+    // Schema v3: deterministic work counters across every phase — the
+    // hot-path evidence (batched NN passes, skipped queue sorts) that
+    // wall clocks alone cannot attribute.
+    w.key("counters").object(true);
+    for (const char* name :
+         {"nn.forward_calls", "nn.forward_value_calls",
+          "nn.batched_forward_calls", "nn.batched_forward_rows",
+          "nn.backward_calls", "sim.schedule_recomputations",
+          "sim.queue_incremental_inserts", "sim.backfill_decisions"}) {
+      w.key(name).value(obs::counter(name).value());
+    }
+    w.end().end();
+    os << "\n";
+  };
+  if (!obs::write_file(args.out, write_report)) {
     std::cerr << "rlbf_run bench: cannot write --out=" << args.out << "\n";
     return 1;
   }
