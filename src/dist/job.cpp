@@ -25,27 +25,26 @@ std::string shard_flag(std::size_t i, std::size_t n) {
   return "--shard=" + std::to_string(i) + "/" + std::to_string(n);
 }
 
-/// Sidecar flags ride on every planned job the same way: files at the
-/// work_dir root named by worker index, so they never land inside the
-/// output_dir a collector merges.
-void add_sidecars(JobSpec& job, const PlanOptions& options, std::size_t i) {
-  const std::string stem =
-      options.work_dir + "/worker" + std::to_string(i);
-  if (options.worker_metrics) {
+}  // namespace
+
+void add_sidecars(JobSpec& job, const Sidecars& sidecars,
+                  const std::string& work_dir) {
+  // Files at the work_dir root named by job id, so they never land
+  // inside the output_dir a collector merges.
+  const std::string stem = work_dir + "/worker" + std::to_string(job.id);
+  if (sidecars.metrics) {
     job.metrics_path = stem + ".metrics.json";
     job.argv.push_back("--metrics_out=" + job.metrics_path);
   }
-  if (options.worker_trace) {
+  if (sidecars.trace) {
     job.trace_path = stem + ".trace.json";
     job.argv.push_back("--trace_out=" + job.trace_path);
   }
-  if (options.worker_series) {
+  if (sidecars.series) {
     job.series_path = stem + ".series.jsonl";
     job.argv.push_back("--series_out=" + job.series_path);
   }
 }
-
-}  // namespace
 
 std::string JobSpec::command_line() const {
   std::string line;
@@ -71,7 +70,7 @@ std::vector<JobSpec> plan_sweep_jobs(const PlanOptions& options) {
     job.argv.insert(job.argv.end(), options.args.begin(), options.args.end());
     job.argv.push_back(shard_flag(i, options.workers));
     job.argv.push_back("--out_dir=" + job.output_dir);
-    add_sidecars(job, options, i);
+    add_sidecars(job, options.sidecars, options.work_dir);
     jobs.push_back(std::move(job));
   }
   return jobs;
@@ -95,7 +94,7 @@ std::vector<JobSpec> plan_train_jobs(const PlanOptions& options) {
     job.argv.push_back(shard_flag(i, options.workers));
     job.argv.push_back("--store=" + worker_dir + "/store");
     job.argv.push_back("--export_bundle=" + job.output_dir);
-    add_sidecars(job, options, i);
+    add_sidecars(job, options.sidecars, options.work_dir);
     jobs.push_back(std::move(job));
   }
   return jobs;

@@ -19,6 +19,10 @@
 // Plans are pure functions of their options — no clocks, no host state —
 // so the same invocation always produces the same jobs, and a retried
 // job reruns exactly what failed.
+//
+// The per-worker observability sidecars are one Sidecars value laid out
+// by one add_sidecars(), shared by both plan builders and the rollout
+// transport (dist/rollout.h), so every fan-out names them identically.
 #pragma once
 
 #include <cstdint>
@@ -58,25 +62,35 @@ struct JobSpec {
   std::string command_line() const;  // shell-quoted rendering for logs
 };
 
+/// Which per-process observability sidecars a fan-out asks each worker
+/// for — set from the supervisor's own --metrics_out/--trace_out/
+/// --series_out, so an instrumented supervisor gets an instrumented
+/// fleet to merge afterwards (obs::merge / obs::merge_series).
+struct Sidecars {
+  bool metrics = false;
+  bool trace = false;
+  bool series = false;
+};
+
+/// Point `job` at its sidecar files — <work_dir>/worker<job.id>
+/// .metrics.json / .trace.json / .series.jsonl, each only when
+/// requested — and append the matching --metrics_out/--trace_out/
+/// --series_out flags to its argv. Every fan-out (plan builders and
+/// dist::ProcessCollector) lays sidecars out through this one function.
+void add_sidecars(JobSpec& job, const Sidecars& sidecars,
+                  const std::string& work_dir);
+
 /// Common plan inputs: the worker binary (normally the running rlbf_run
 /// itself), the pass-through flags of the underlying subcommand (without
 /// any --shard/--out_dir/--store/--export_bundle — the planner owns
-/// those), the partition width, and the scratch directory per-job
-/// outputs live under.
+/// those), the partition width, the scratch directory per-job outputs
+/// live under, and the sidecars every planned job writes there.
 struct PlanOptions {
   std::string worker;
   std::vector<std::string> args;
   std::size_t workers = 1;
   std::string work_dir;
-  /// Ask each worker for per-process observability sidecars
-  /// (<work_dir>/worker<i>.metrics.json / .trace.json /
-  /// .series.jsonl): the planner appends the matching
-  /// --metrics_out/--trace_out/--series_out flags and records the paths
-  /// in JobSpec so the supervisor can merge them afterwards (obs::merge
-  /// / obs::merge_series).
-  bool worker_metrics = false;
-  bool worker_trace = false;
-  bool worker_series = false;
+  Sidecars sidecars;
 };
 
 /// N shard-sweep jobs over the `run`/`sweep` flags in `options.args`.

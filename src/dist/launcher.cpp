@@ -169,4 +169,23 @@ LaunchResult CommandLauncher::fetch(const JobSpec& job) {
   return result;
 }
 
+std::string Transport::pairing_error() const {
+  if (!command_template.empty() && hosts.empty()) {
+    return "--command_template needs --hosts";
+  }
+  if (!hosts.empty() && command_template.empty()) {
+    return "--hosts needs --command_template (e.g. \"ssh {host} {command}\")";
+  }
+  return "";
+}
+
+std::unique_ptr<Launcher> Transport::make_launcher() const {
+  if (const std::string error = pairing_error(); !error.empty()) {
+    throw std::invalid_argument(error);
+  }
+  if (!remote()) return std::make_unique<LocalLauncher>(timeout_seconds);
+  return std::make_unique<CommandLauncher>(
+      command_template, parse_hosts(hosts), fetch_template, timeout_seconds);
+}
+
 }  // namespace rlbf::dist

@@ -14,12 +14,19 @@
 //                      driver; an optional fetch template ("scp -r
 //                      {host}:{remote} {local}") copies outputs back.
 //
-// Malformed inputs — an empty or gappy --hosts list, a template without
-// the {command} placeholder, an unknown {placeholder} — are named
+// Transport is the one description of that choice every fan-out shares
+// (`orchestrate`, `train --workers`, `train --rollout_workers`): the
+// CLI binds its flags straight into one, ProcessCollector carries one,
+// and make_launcher() turns it into the launcher.
+//
+// Malformed inputs — hosts without a template or a template without
+// hosts, an empty or gappy --hosts list, a template without the
+// {command} placeholder, an unknown {placeholder} — are named
 // std::invalid_argument errors at construction, before anything runs.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -101,6 +108,31 @@ class CommandLauncher : public Launcher {
   std::vector<std::string> hosts_;
   std::string fetch_template_;
   double timeout_seconds_;
+};
+
+/// Where fan-out jobs run: local fork/exec when `command_template` is
+/// empty, else the template rendered over `hosts` (CommandLauncher).
+struct Transport {
+  /// Comma-separated host list, as given to --hosts (parse_hosts).
+  std::string hosts;
+  std::string command_template;
+  /// Copies a finished job's output_dir back; empty = shared filesystem.
+  std::string fetch_template;
+  /// Per-attempt wall-clock cap in seconds (0 = no limit).
+  double timeout_seconds = 0.0;
+
+  bool remote() const { return !command_template.empty(); }
+
+  /// The pairing rule: a template needs hosts to render over, and hosts
+  /// need a template to reach them (running locally would silently drop
+  /// an explicit request to distribute). "" when it holds, else the
+  /// violation, named by the CLI flags.
+  std::string pairing_error() const;
+
+  /// The launcher this transport selects. Throws std::invalid_argument
+  /// on a pairing_error(), a malformed host list, or a malformed
+  /// template.
+  std::unique_ptr<Launcher> make_launcher() const;
 };
 
 }  // namespace rlbf::dist

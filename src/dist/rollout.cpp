@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "dist/orchestrator.h"
 #include "exp/config.h"
 #include "model/training_spec.h"
 #include "rl/wire.h"
@@ -63,18 +62,7 @@ ProcessCollector::ProcessCollector(RolloutTransportOptions options)
   if (options_.workers == 0) {
     throw std::invalid_argument("rollout transport: workers must be >= 1");
   }
-  if (!options_.command_template.empty()) {
-    // CommandLauncher validates templates and hosts at construction.
-    launcher_ = std::make_unique<CommandLauncher>(
-        options_.command_template, options_.hosts, options_.fetch_template,
-        options_.timeout_seconds);
-  } else {
-    if (!options_.hosts.empty()) {
-      throw std::invalid_argument(
-          "rollout transport: hosts given without a command template");
-    }
-    launcher_ = std::make_unique<LocalLauncher>(options_.timeout_seconds);
-  }
+  launcher_ = options_.transport.make_launcher();
 }
 
 std::vector<rl::SequenceResult> ProcessCollector::collect(
@@ -132,31 +120,12 @@ std::vector<rl::SequenceResult> ProcessCollector::collect(
     if (std::isfinite(plan.epsilon)) {
       job.argv.push_back("--epsilon=" + exp::format_double_exact(plan.epsilon));
     }
-    if (options_.worker_metrics) {
-      job.metrics_path = options_.work_dir + "/worker" + std::to_string(job.id) +
-                         ".metrics.json";
-      job.argv.push_back("--metrics_out=" + job.metrics_path);
-    }
-    if (options_.worker_trace) {
-      job.trace_path = options_.work_dir + "/worker" + std::to_string(job.id) +
-                       ".trace.json";
-      job.argv.push_back("--trace_out=" + job.trace_path);
-    }
-    if (options_.worker_series) {
-      job.series_path = options_.work_dir + "/worker" + std::to_string(job.id) +
-                        ".series.jsonl";
-      job.argv.push_back("--series_out=" + job.series_path);
-    }
+    add_sidecars(job, options_.sidecars, options_.work_dir);
     epoch_jobs.push_back(std::move(job));
   }
 
-  OrchestratorOptions run_options;
+  OrchestratorOptions run_options = options_.supervisor;
   run_options.max_parallel = n_workers;
-  run_options.max_attempts = options_.retries + 1;
-  run_options.inject_failures = options_.inject_failures;
-  run_options.on_event = options_.on_event;
-  run_options.heartbeat_seconds = options_.heartbeat_seconds;
-  run_options.on_heartbeat = options_.on_heartbeat;
   const OrchestrationReport report =
       run_jobs(epoch_jobs, *launcher_, run_options);
   jobs_.insert(jobs_.end(), epoch_jobs.begin(), epoch_jobs.end());

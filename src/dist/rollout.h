@@ -8,7 +8,10 @@
 // to worker i % W with its pre-drawn seed, and every worker job runs
 // through the same dist::Launcher / dist::run_jobs machinery as the
 // sweep/train orchestrator — so retries, failure injection, host
-// round-robin, and stderr-tail failure reports come for free. Each
+// round-robin, and stderr-tail failure reports come for free. The
+// options restate none of that machinery's settings: they carry the
+// same Transport, Sidecars and OrchestratorOptions values the other
+// fan-outs use (RolloutTransportOptions below). Each
 // worker's response file embeds a request fingerprint (worker args +
 // epoch + worker index + seed subset), so a stale file from a previous
 // epoch on a reused scratch dir can never be consumed.
@@ -21,23 +24,31 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dist/job.h"
 #include "dist/launcher.h"
+#include "dist/orchestrator.h"
 #include "rl/collect.h"
 
 namespace rlbf::dist {
 
-/// How the process transport runs its workers. `worker` + `worker_args`
-/// must reconstruct the learner's training setup in another process
-/// (`rlbf_run collect-rollouts --spec=... --seed=...`); the transport
-/// appends the per-epoch flags (--seeds/--model/--out/--fingerprint/
-/// --epoch/--epsilon) itself.
+/// How the process transport runs its workers — the shared fan-out
+/// pieces, each declared once in its own struct: the Transport picks
+/// the launcher, Sidecars the per-worker obs files, and the
+/// OrchestratorOptions supervise every epoch's jobs (retries,
+/// injected failures, heartbeat, progress lines, per-job series).
+/// `worker` + `worker_args` must reconstruct the learner's training
+/// setup in another process (`rlbf_run collect-rollouts --spec=...
+/// --seed=...`); the transport appends the per-epoch flags (--seeds/
+/// --model/--out/--fingerprint/--epoch/--epsilon) itself.
+/// model::TrainOptions::rollout is one of these.
 struct RolloutTransportOptions {
+  /// Worker process count (clamped to the sequence count per epoch).
+  /// 0 = no process transport (in-process collection).
+  std::size_t workers = 0;
   /// Worker binary (normally the running rlbf_run itself).
   std::string worker;
   /// Subcommand flags that reconstruct the training setup remotely.
@@ -45,44 +56,21 @@ struct RolloutTransportOptions {
   /// Scratch directory for model checkpoints, per-job output dirs, and
   /// observability sidecars.
   std::string work_dir;
-  /// Worker process count (clamped to the sequence count per epoch).
-  std::size_t workers = 1;
-  /// Retries per failed worker job (total attempts = retries + 1).
-  std::size_t retries = 1;
-  /// Per-attempt wall-clock cap in seconds (0 = no limit).
-  double timeout_seconds = 0.0;
-  /// Test hook: job id -> leading attempts forced to fail
-  /// (dist::OrchestratorOptions::inject_failures).
-  std::map<std::size_t, std::size_t> inject_failures;
-  /// Ask workers for per-process observability sidecars
-  /// (<work_dir>/worker<id>.metrics.json / .trace.json /
-  /// .series.jsonl), recorded in the job specs for a later
-  /// save_fleet_obs merge.
-  bool worker_metrics = false;
-  bool worker_trace = false;
-  bool worker_series = false;
-  /// Heartbeat interval for each epoch's job supervisor
-  /// (dist::OrchestratorOptions::heartbeat_seconds); 0 disables it.
-  double heartbeat_seconds = 30.0;
-  /// Fired on every supervisor heartbeat (registry sampling hook).
-  std::function<void()> on_heartbeat;
-  /// Remote transport: when command_template is nonempty, jobs run
-  /// through a CommandLauncher over these hosts instead of local
-  /// fork/exec (same placeholders as `rlbf_run orchestrate`).
-  std::vector<std::string> hosts;
-  std::string command_template;
-  std::string fetch_template;
-  /// Serialized progress lines from the orchestrator.
-  std::function<void(const std::string&)> on_event;
+  Sidecars sidecars;
+  Transport transport;
+  /// Per-epoch job supervision. max_parallel is overridden with the
+  /// epoch's worker count.
+  OrchestratorOptions supervisor;
 };
 
 /// The subprocess rollout transport. slots() is 0: workers load the
 /// checkpointed model themselves, the in-process SequenceFn never runs.
 class ProcessCollector : public rl::Collector {
  public:
-  /// Validates options (worker/work_dir/workers, template pairing) and
-  /// constructs the launcher up front, so malformed transports fail
-  /// before any epoch runs. Throws std::invalid_argument.
+  /// Validates options (worker/work_dir/workers) and constructs the
+  /// launcher up front (Transport::make_launcher), so malformed
+  /// transports fail before any epoch runs. Throws
+  /// std::invalid_argument.
   explicit ProcessCollector(RolloutTransportOptions options);
 
   /// The learner's model writer: called once per epoch with the

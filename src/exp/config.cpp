@@ -10,6 +10,7 @@
 #include <iostream>
 #include <locale.h>
 #include <sstream>
+#include <stdexcept>
 
 namespace rlbf::exp {
 
@@ -110,6 +111,11 @@ void ArgParser::add_typed(const std::string& name, const std::string& help,
                           std::function<bool(const std::string&)> assign) {
   Flag flag;
   flag.name = name.rfind("--", 0) == 0 ? name : "--" + name;
+  if (find(flag.name) != nullptr) {
+    // A second binding would print twice in usage() and never be set.
+    throw std::logic_error(program_ + ": flag " + flag.name +
+                           " is registered twice");
+  }
   flag.help = help;
   flag.default_value = std::move(default_value);
   flag.is_switch = is_switch;

@@ -70,6 +70,8 @@ class ArgParser {
 
   /// Bind `--name=value` to a variable. The current value of the target
   /// is rendered in usage() as the default, so bind after defaulting.
+  /// Every add* throws std::logic_error when the name (with `_`/`-`
+  /// folded) is already registered.
   void add(const std::string& name, std::string* value, const std::string& help);
   void add(const std::string& name, bool* value, const std::string& help);
   void add(const std::string& name, double* value, const std::string& help);

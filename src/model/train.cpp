@@ -74,8 +74,7 @@ core::Agent load_init_agent(const std::string& ref, const Store& store,
 /// registered spec reproduces `spec`'s canonical string — the proof
 /// that worker-side collection samples the same trace, environment, and
 /// reward shaping the learner would have used in-process.
-std::vector<std::string> rollout_worker_args(const TrainingSpec& spec,
-                                             const TrainOptions& options) {
+std::vector<std::string> rollout_worker_args(const TrainingSpec& spec) {
   if (!TrainingRegistry::instance().contains(spec.name)) {
     throw std::invalid_argument(
         "train: --rollout_workers requires a registered training spec "
@@ -97,16 +96,10 @@ std::vector<std::string> rollout_worker_args(const TrainingSpec& spec,
         "was modified beyond seed/jobs/traj_jobs/epochs/trajectories; "
         "run in-process (--rollout_workers=0)");
   }
-  std::vector<std::string> args = {
-      "--spec=" + spec.name,
-      "--seed=" + std::to_string(spec.trainer.seed),
-      "--jobs=" + std::to_string(spec.workload.trace_jobs),
-      "--traj_jobs=" + std::to_string(spec.trainer.jobs_per_trajectory)};
-  if (options.rollout.worker_threads != 0) {
-    args.push_back("--threads=" +
-                   std::to_string(options.rollout.worker_threads));
-  }
-  return args;
+  return {"--spec=" + spec.name,
+          "--seed=" + std::to_string(spec.trainer.seed),
+          "--jobs=" + std::to_string(spec.workload.trace_jobs),
+          "--traj_jobs=" + std::to_string(spec.trainer.jobs_per_trajectory)};
 }
 
 /// Shared body of train_spec / train_on_trace: run the spec's algorithm
@@ -126,23 +119,11 @@ TrainOutcome run_training(const swf::Trace& trace, const TrainingSpec& spec,
   // before the trainer so malformed transport options fail fast.
   std::unique_ptr<dist::ProcessCollector> collector;
   if (options.rollout.workers > 0) {
-    dist::RolloutTransportOptions transport;
-    transport.worker = options.rollout.worker_binary;
-    transport.worker_args = rollout_worker_args(spec, options);
-    transport.work_dir = options.rollout.work_dir;
-    transport.workers = options.rollout.workers;
-    transport.retries = options.rollout.retries;
-    transport.timeout_seconds = options.rollout.timeout_seconds;
-    transport.inject_failures = options.rollout.inject_failures;
-    transport.worker_metrics = options.rollout.worker_metrics;
-    transport.worker_trace = options.rollout.worker_trace;
-    transport.worker_series = options.rollout.worker_series;
-    transport.heartbeat_seconds = options.rollout.heartbeat_seconds;
-    transport.on_heartbeat = options.rollout.on_heartbeat;
-    transport.hosts = options.rollout.hosts;
-    transport.command_template = options.rollout.command_template;
-    transport.fetch_template = options.rollout.fetch_template;
-    transport.on_event = options.rollout.on_event;
+    dist::RolloutTransportOptions transport = options.rollout;
+    transport.worker_args = rollout_worker_args(spec);
+    transport.worker_args.insert(transport.worker_args.end(),
+                                 options.rollout.worker_args.begin(),
+                                 options.rollout.worker_args.end());
     collector = std::make_unique<dist::ProcessCollector>(std::move(transport));
   }
   std::optional<core::Agent> init;

@@ -243,8 +243,19 @@ expect_failure("import missing dir" "is not a directory"
 # Consolidated help: overview, per-command usage, --help alias, and an
 # unknown command both in help and at the top level.
 expect_success("help overview" help)
-expect_success("help run" help run)
-expect_success("help orchestrate" help orchestrate)
+# `help <command>` for every command the overview lists: each one builds
+# that command's parser, and ArgParser throws on a flag registered twice.
+execute_process(COMMAND "${RLBF_RUN}" help OUTPUT_VARIABLE overview)
+string(REGEX MATCHALL "\n  [a-z-]+ " listed "${overview}")
+list(LENGTH listed listed_n)
+if(listed_n LESS 10)
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "help overview lists ${listed_n} command(s):\n${overview}")
+endif()
+foreach(entry ${listed})
+  string(STRIP "${entry}" command)
+  expect_success("help ${command}" help ${command})
+endforeach()
 expect_success("top-level --help" --help)
 expect_failure("help unknown command" "unknown command 'frob'" help frob)
 expect_failure("unknown command lists help" "help"

@@ -13,7 +13,8 @@
 #      decayed exploration rate.
 #   2. The injected failure and its retry show up in the supervisor log,
 #      and the rollout scratch directory is cleaned up on success
-#      (kept under --keep_work, holding the worker obs sidecars).
+#      (kept under --keep_work, holding the worker obs sidecars). With
+#      --series_out the merged series carry the per-job dist.* series.
 #   3. Malformed transports are usage errors (exit 2) before anything
 #      trains: --rollout_workers with --workers, --command_template
 #      without --hosts, --rollout_workers over a multi-spec grid.
@@ -123,10 +124,11 @@ endfunction()
 run_or_fail("sequential train" train --spec=sdsc-tiny --store=store_seq
             --quiet)
 # One worker, kept scratch: proves the obs sidecar plumbing (the worker
-# writes its own metrics file, the supervisor merges a fleet view).
+# writes its own metrics file, the supervisor merges a fleet view, and
+# the supervisor's series carry the per-job dist.* duration series).
 run_or_fail("1 rollout worker" train --spec=sdsc-tiny --store=store_w1
             --rollout_workers=1 --quiet --keep_work
-            --metrics_out=fleet_metrics.json)
+            --metrics_out=fleet_metrics.json --series_out=fleet_series.jsonl)
 # Worker job 0's first attempt (epoch 1) is forced to fail with a real
 # nonzero exit and must be retried to success on attempt 2.
 run_or_fail("3 rollout workers, 1 injected failure" train --spec=sdsc-tiny
@@ -200,6 +202,16 @@ endif()
 if(NOT EXISTS "${WORK_DIR}/fleet_metrics.json")
   math(EXPR failures "${failures} + 1")
   message(WARNING "supervisor did not write the merged fleet metrics")
+endif()
+if(EXISTS "${WORK_DIR}/fleet_series.jsonl")
+  file(STRINGS "${WORK_DIR}/fleet_series.jsonl" job_seconds
+       REGEX "\"dist\\.job_seconds\"")
+endif()
+if("${job_seconds}" STREQUAL "")
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "merged fleet series has no dist.job_seconds series")
+else()
+  message(STATUS "merged fleet series carries dist.job_seconds: ok")
 endif()
 
 # ---- 3. malformed transports fail fast -------------------------------

@@ -3,6 +3,7 @@
 // command they were given.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
 #include "dist/launcher.h"
@@ -151,6 +152,57 @@ TEST(LocalLauncherTest, RunsTheArgvDirectly) {
   EXPECT_EQ(result.process.stdout_text, "local\n");
   // The default fetch is a successful no-op (outputs are already local).
   EXPECT_TRUE(launcher.fetch(job).process.ok());
+}
+
+TEST(TransportTest, PairingRuleNamesTheMissingFlag) {
+  Transport transport;
+  EXPECT_EQ(transport.pairing_error(), "");  // local: neither given
+  transport.hosts = "h0";
+  transport.command_template = "ssh {host} {qcommand}";
+  EXPECT_EQ(transport.pairing_error(), "");
+  // A template with nothing to render {host} over.
+  transport.hosts.clear();
+  EXPECT_NE(transport.pairing_error().find("--command_template needs --hosts"),
+            std::string::npos)
+      << transport.pairing_error();
+  // Hosts without a template: nothing would use them — rejected rather
+  // than silently running locally.
+  transport.hosts = "h0";
+  transport.command_template.clear();
+  EXPECT_NE(transport.pairing_error().find("--hosts needs --command_template"),
+            std::string::npos)
+      << transport.pairing_error();
+}
+
+TEST(TransportTest, MakeLauncherValidatesBeforeAnythingRuns) {
+  Transport transport;
+  transport.timeout_seconds = 5.0;
+  EXPECT_NE(dynamic_cast<LocalLauncher*>(transport.make_launcher().get()),
+            nullptr);
+
+  transport.hosts = "h0";
+  EXPECT_THROW(transport.make_launcher(), std::invalid_argument);  // unpaired
+  transport.hosts.clear();
+  transport.command_template = "ssh {host} {qcommand}";
+  EXPECT_THROW(transport.make_launcher(), std::invalid_argument);  // unpaired
+
+  transport.hosts = "h0,h1";
+  const std::unique_ptr<Launcher> remote = transport.make_launcher();
+  const auto* command = dynamic_cast<CommandLauncher*>(remote.get());
+  ASSERT_NE(command, nullptr);
+  JobSpec job;
+  job.id = 1;
+  EXPECT_EQ(command->host_for(job), "h1");  // the parsed list, in order
+
+  // The host list and the template are validated by the launcher built.
+  transport.hosts = "h0,,h1";
+  EXPECT_THROW(transport.make_launcher(), std::invalid_argument);
+  transport.hosts = "h0";
+  transport.command_template = "ssh {host}";  // no {command}
+  EXPECT_THROW(transport.make_launcher(), std::invalid_argument);
+  transport.command_template = "ssh {host} {command}";
+  transport.fetch_template = "scp {hots}:{remote} {local}";
+  EXPECT_THROW(transport.make_launcher(), std::invalid_argument);
 }
 
 }  // namespace

@@ -84,6 +84,31 @@ TEST(PlanTest, MalformedPlanOptionsAreNamedErrors) {
   EXPECT_THROW(dist::plan_train_jobs(options), std::invalid_argument);
 }
 
+TEST(PlanTest, SidecarsLiveAtTheWorkDirRootNamedByJobId) {
+  dist::PlanOptions options = sweep_options();
+  options.sidecars.metrics = true;
+  options.sidecars.series = true;
+  const std::vector<dist::JobSpec> jobs = dist::plan_sweep_jobs(options);
+  ASSERT_EQ(jobs.size(), 3u);
+  const dist::JobSpec& job = jobs[2];
+  EXPECT_EQ(job.metrics_path, "scratch/worker2.metrics.json");
+  EXPECT_EQ(job.trace_path, "");  // not requested
+  EXPECT_EQ(job.series_path, "scratch/worker2.series.jsonl");
+  EXPECT_TRUE(has_arg(job, "--metrics_out=scratch/worker2.metrics.json"));
+  EXPECT_TRUE(has_arg(job, "--series_out=scratch/worker2.series.jsonl"));
+  // No sidecars requested: no paths, no flags.
+  const dist::JobSpec bare = dist::plan_sweep_jobs(sweep_options())[2];
+  EXPECT_EQ(bare.argv.size() + 2, job.argv.size());
+  EXPECT_TRUE(bare.metrics_path.empty() && bare.series_path.empty());
+  // The collector-side helper lays out the same files by job id.
+  dist::JobSpec rollout;
+  rollout.id = 7;
+  dist::add_sidecars(rollout, {false, true, false}, "w");
+  EXPECT_EQ(rollout.trace_path, "w/worker7.trace.json");
+  EXPECT_EQ(rollout.argv,
+            (std::vector<std::string>{"--trace_out=w/worker7.trace.json"}));
+}
+
 TEST(PlanTest, CommandLineQuotesEveryArgument) {
   dist::JobSpec job;
   job.argv = {"bin", "--flag=a b"};

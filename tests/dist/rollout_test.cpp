@@ -82,18 +82,12 @@ TEST(ProcessCollectorTest, ConstructionValidatesTheTransport) {
   options.workers = 0;
   EXPECT_THROW(ProcessCollector{options}, std::invalid_argument);
 
-  // Hosts without a command template: nothing would use them — reject
-  // rather than silently running locally.
+  // The launcher is built (and the Transport validated) up front; the
+  // pairing and template cases live in TransportTest.
   options = valid_options();
-  options.hosts = {"h0"};
+  options.transport.hosts = "h0";
   EXPECT_THROW(ProcessCollector{options}, std::invalid_argument);
-
-  // A command template is validated by the CommandLauncher it builds.
-  options = valid_options();
-  options.hosts = {"h0"};
-  options.command_template = "ssh {host}";  // no {command}
-  EXPECT_THROW(ProcessCollector{options}, std::invalid_argument);
-  options.command_template = "ssh {host} {qcommand}";
+  options.transport.command_template = "ssh {host} {qcommand}";
   EXPECT_NO_THROW(ProcessCollector{options});
 }
 

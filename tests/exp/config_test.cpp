@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 namespace rlbf::exp {
@@ -89,6 +90,30 @@ TEST(ArgParser, DashAndUnderscoreSpellingsAreInterchangeable) {
   EXPECT_EQ(jobs, 7u);
   EXPECT_TRUE(parser.parse({"--sample_jobs=9"}));
   EXPECT_EQ(jobs, 9u);
+}
+
+TEST(ArgParser, RegisteringAFlagTwiceIsALogicError) {
+  std::string a;
+  std::string b;
+  bool on = false;
+  ArgParser parser("test");
+  parser.add("--inject_fail", &a, "first");
+  EXPECT_THROW(parser.add("--inject_fail", &b, "second"), std::logic_error);
+  // The `_`/`-` folding that makes the spellings one flag at parse time
+  // makes them one name here too, across every add* overload.
+  EXPECT_THROW(parser.add("--inject-fail", &b, "second"), std::logic_error);
+  EXPECT_THROW(parser.add_flag("inject_fail", &on, "second"), std::logic_error);
+  try {
+    parser.add("--inject_fail", &b, "second");
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--inject_fail"), std::string::npos)
+        << e.what();
+  }
+  // The failed registrations left the parser as it was.
+  EXPECT_TRUE(parser.parse({"--inject_fail=1:1"}));
+  EXPECT_EQ(a, "1:1");
+  EXPECT_EQ(b, "");
 }
 
 TEST(ArgParser, HelpIsAlwaysAccepted) {

@@ -196,8 +196,8 @@ int write_sink(const char* flag, const std::string& path,
 /// Deliberately NOT part of SweepFlags::forward(): these are
 /// per-process diagnostics. Workers never inherit the supervisor's own
 /// sink paths — instead the job planner gives each worker its OWN
-/// sidecar files (dist::PlanOptions::worker_metrics/worker_trace) and
-/// the supervisor rolls them up afterwards (save_fleet_obs). Result
+/// sidecar files (sidecars() below, a dist::Sidecars) and the
+/// supervisor rolls them up afterwards (save_fleet_obs). Result
 /// streams stay byte-identical either way: metrics only ever write to
 /// the files named here (status lines go to stderr via util::log),
 /// never to stdout or result files.
@@ -235,6 +235,12 @@ struct ObsFlags {
     if (!metrics_out.empty()) obs::set_enabled(true);
     if (!trace_out.empty()) obs::set_tracing(true);
     if (log_elapsed) util::set_log_elapsed(true);
+  }
+
+  /// The sidecars a fan-out asks each worker for: the ones this
+  /// supervisor writes itself, so save_fleet_obs has them to merge.
+  dist::Sidecars sidecars() const {
+    return {!metrics_out.empty(), !trace_out.empty(), !series_out.empty()};
   }
 
   /// Dump the requested sinks; returns 0, or 1 on I/O failure (after a
@@ -663,18 +669,42 @@ int merge(int argc, char** argv) {
 
 // --------------------------------------------------------------- train
 
-/// The orchestration knobs `train --workers` and `orchestrate` share —
-/// one definition, like SweepFlags, so the two fan-out surfaces cannot
-/// drift apart flag by flag.
+/// Parse "--inject_fail=1:2,3:1" into the orchestrator's job->count map.
+std::map<std::size_t, std::size_t> parse_inject_fail(const std::string& text) {
+  std::map<std::size_t, std::size_t> inject;
+  if (text.empty()) return inject;
+  for (const std::string& item : split_names(text, "--inject_fail")) {
+    const std::size_t colon = item.find(':');
+    std::uint64_t job = 0;
+    std::uint64_t count = 1;
+    const std::string job_text =
+        colon == std::string::npos ? item : item.substr(0, colon);
+    if (!exp::parse_uint64(job_text, &job) ||
+        (colon != std::string::npos &&
+         !exp::parse_uint64(item.substr(colon + 1), &count))) {
+      throw std::invalid_argument("malformed --inject_fail entry '" + item +
+                                  "' (want JOB or JOB:COUNT)");
+    }
+    inject[job] = count;
+  }
+  return inject;
+}
+
+/// The fan-out knobs all three fan-outs share — `orchestrate`,
+/// `train --workers` and `train --rollout_workers` bind this one
+/// definition and build their supervisor, worker binary, thread split
+/// and transport from it, so they cannot drift apart flag by flag.
 struct FanoutFlags {
   std::size_t workers = 1;
   std::size_t retries = 1;
   std::string worker_binary;
   std::string work_dir;
   bool keep_work = false;
-  double timeout = 0.0;
   double heartbeat = 30.0;
   std::string inject_fail;
+  /// --hosts, --command_template, --fetch_template and --timeout bind
+  /// straight into it.
+  dist::Transport transport;
 
   /// `workers_help` and the scratch default named in --work_dir's help
   /// are the only per-command differences.
@@ -690,7 +720,7 @@ struct FanoutFlags {
     parser.add_flag("--keep_work", &keep_work,
                     "keep the scratch directory after a successful run "
                     "(a user-supplied --work_dir is never deleted)");
-    parser.add("--timeout", &timeout,
+    parser.add("--timeout", &transport.timeout_seconds,
                "per-attempt wall-clock limit in seconds for worker jobs "
                "(0 = none)");
     parser.add("--heartbeat", &heartbeat,
@@ -714,59 +744,62 @@ struct FanoutFlags {
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);  // best effort; scratch only
   }
-};
-
-/// The remote-transport knobs every fan-out surface shares —
-/// `orchestrate`, `train --workers`, and `train --rollout_workers` all
-/// bind this ONE definition, so they speak the same
-/// --hosts/--command_template dialect and cannot drift apart.
-struct TransportFlags {
-  std::string hosts;
-  std::string command_template;
-  std::string fetch_template;
 
   void bind_transport(exp::ArgParser& parser) {
-    parser.add("--hosts", &hosts,
+    parser.add("--hosts", &transport.hosts,
                "comma-separated host list; with --command_template, jobs are "
                "assigned round-robin over it, and a retried job rotates to "
                "the next host (away from the one that just failed)");
-    parser.add("--command_template", &command_template,
+    parser.add("--command_template", &transport.command_template,
                "launch each job through this shell template instead of a "
                "local fork/exec; placeholders: {command} or {qcommand} "
                "(required; use {qcommand} — the command quoted once more — "
                "for transports like ssh that re-evaluate their argument in "
                "a remote shell), {host}, {job}, {id}, {out}, {{ for a "
                "literal brace — e.g. \"ssh {host} {qcommand}\"");
-    parser.add("--fetch_template", &fetch_template,
+    parser.add("--fetch_template", &transport.fetch_template,
                "shell template copying a finished job's output_dir back "
                "({host}, {remote}, {local}, {job}, {id}) — e.g. "
                "\"scp -r {host}:{remote} {local}\"; empty = shared filesystem");
   }
 
-  bool remote() const { return !command_template.empty(); }
-
-  /// "" when the pairing rule holds; otherwise the error to print.
-  std::string transport_error(const std::string& command) const {
-    if (!command_template.empty() && hosts.empty()) {
-      return "rlbf_run " + command + ": --command_template needs --hosts";
-    }
-    if (!hosts.empty() && command_template.empty()) {
-      // Silently running everything locally would drop an explicit
-      // request to distribute — make the user say how to reach the hosts.
-      return "rlbf_run " + command + ": --hosts needs --command_template " +
-             "(e.g. \"ssh {host} {command}\")";
-    }
-    return "";
+  /// The worker executable: --worker_binary, or this rlbf_run.
+  std::string worker() const {
+    return worker_binary.empty() ? util::current_executable(g_program_path)
+                                 : worker_binary;
   }
 
-  /// The launcher this transport selects: a local process pool, or the
-  /// command template expanded over the host list.
-  std::unique_ptr<dist::Launcher> make_launcher(double timeout) const {
-    if (command_template.empty()) {
-      return std::make_unique<dist::LocalLauncher>(timeout);
+  /// The --threads each of `in_flight` concurrent workers gets: the
+  /// user's count, else the local hardware split between them (N
+  /// workers each defaulting to full concurrency would oversubscribe
+  /// the machine N-fold). 0 — no flag — for remote workers, which keep
+  /// their own machine's default.
+  std::size_t worker_threads(std::size_t threads, std::size_t in_flight) const {
+    if (threads != 0 || transport.remote()) return threads;
+    return std::max<std::size_t>(
+        std::thread::hardware_concurrency() / in_flight, 1);
+  }
+
+  /// The job supervisor these flags describe. Progress lines go to
+  /// stdout unless `quiet`; with `series`, every job records its
+  /// duration series and each heartbeat samples the metrics registry
+  /// (sample_once is thread-safe; the heartbeat thread calls it).
+  dist::OrchestratorOptions supervisor(bool quiet, bool series) const {
+    dist::OrchestratorOptions options;
+    options.max_parallel = workers;
+    options.max_attempts = retries + 1;
+    options.inject_failures = parse_inject_fail(inject_fail);
+    options.heartbeat_seconds = heartbeat;
+    if (series) {
+      options.series = &series_recorder();
+      options.on_heartbeat = [] { registry_sampler().sample_once(); };
     }
-    return std::make_unique<dist::CommandLauncher>(
-        command_template, dist::parse_hosts(hosts), fetch_template, timeout);
+    if (!quiet) {
+      options.on_event = [](const std::string& line) {
+        std::cout << "# " << line << "\n" << std::flush;
+      };
+    }
+    return options;
   }
 };
 
@@ -777,7 +810,7 @@ std::string trim_trailing_slashes(std::string path) {
   return path;
 }
 
-struct TrainArgs : FanoutFlags, TransportFlags, ObsFlags {
+struct TrainArgs : FanoutFlags, ObsFlags {
   bool list = false;
   std::size_t rollout_workers = 0;
   std::string spec_names;
@@ -845,54 +878,6 @@ struct TrainArgs : FanoutFlags, TransportFlags, ObsFlags {
   }
 };
 
-/// Parse "--inject_fail=1:2,3:1" into the orchestrator's job->count map.
-std::map<std::size_t, std::size_t> parse_inject_fail(const std::string& text) {
-  std::map<std::size_t, std::size_t> inject;
-  if (text.empty()) return inject;
-  for (const std::string& item : split_names(text, "--inject_fail")) {
-    const std::size_t colon = item.find(':');
-    std::uint64_t job = 0;
-    std::uint64_t count = 1;
-    const std::string job_text =
-        colon == std::string::npos ? item : item.substr(0, colon);
-    if (!exp::parse_uint64(job_text, &job) ||
-        (colon != std::string::npos &&
-         !exp::parse_uint64(item.substr(colon + 1), &count))) {
-      throw std::invalid_argument("malformed --inject_fail entry '" + item +
-                                  "' (want JOB or JOB:COUNT)");
-    }
-    inject[job] = count;
-  }
-  return inject;
-}
-
-/// Shared fan-out driver: run a plan through a launcher with retries
-/// and return the report — the CALLER must check report.all_ok and
-/// print failure_summary() before collecting (the collectors also
-/// refuse incomplete runs as a backstop).
-dist::OrchestrationReport run_fanout(
-    const std::vector<dist::JobSpec>& jobs, dist::Launcher& launcher,
-    std::size_t max_parallel, std::size_t retries, const std::string& inject,
-    bool quiet, double heartbeat, bool series) {
-  dist::OrchestratorOptions options;
-  options.max_parallel = max_parallel;
-  options.max_attempts = retries + 1;
-  options.inject_failures = parse_inject_fail(inject);
-  options.heartbeat_seconds = heartbeat;
-  if (series) {
-    // Per-job duration series plus a registry sample per heartbeat
-    // (sample_once is thread-safe; the heartbeat thread calls it).
-    options.series = &series_recorder();
-    options.on_heartbeat = [] { registry_sampler().sample_once(); };
-  }
-  if (!quiet) {
-    options.on_event = [](const std::string& line) {
-      std::cout << "# " << line << "\n" << std::flush;
-    };
-  }
-  return dist::run_jobs(jobs, launcher, options);
-}
-
 int train(int argc, char** argv) {
   TrainArgs args;
   exp::ArgParser parser = args.make_parser();
@@ -931,8 +916,8 @@ int train(int argc, char** argv) {
                  "fan-out assigns shards itself)\n";
     return 2;
   }
-  if (const std::string err = args.transport_error("train"); !err.empty()) {
-    std::cerr << err << "\n";
+  if (const std::string err = args.transport.pairing_error(); !err.empty()) {
+    std::cerr << "rlbf_run train: " << err << "\n";
     return 2;
   }
   if (args.rollout_workers > 0 && args.workers > 1) {
@@ -998,26 +983,16 @@ int train(int argc, char** argv) {
     const std::string work_dir = args.scratch_dir(
         trim_trailing_slashes(store_root) + ".orchestrate");
     dist::PlanOptions plan;
-    plan.worker = args.worker_binary.empty()
-                      ? util::current_executable(g_program_path)
-                      : args.worker_binary;
+    plan.worker = args.worker();
     plan.workers = args.workers;
     plan.work_dir = work_dir;
     // Forward exactly the training flags that shape results; each worker
     // trains its shard into a private store and exports a bundle.
     if (!args.spec_names.empty()) plan.args.push_back("--spec=" + args.spec_names);
     if (args.ablations) plan.args.push_back("--ablations");
-    // N concurrent local workers each defaulting to full hardware
-    // concurrency would oversubscribe the machine N-fold; split the
-    // hardware between them unless the user chose a count. (Remote jobs
-    // keep their own machine's default.)
-    if (args.threads != 0) {
-      plan.args.push_back("--threads=" + std::to_string(args.threads));
-    } else if (!args.remote()) {
-      plan.args.push_back("--threads=" +
-                          std::to_string(std::max<std::size_t>(
-                              std::thread::hardware_concurrency() / args.workers,
-                              1)));
+    if (const std::size_t threads =
+            args.worker_threads(args.threads, args.workers)) {
+      plan.args.push_back("--threads=" + std::to_string(threads));
     }
     if (args.force) plan.args.push_back("--force");
     plan.args.push_back("--quiet");
@@ -1033,9 +1008,7 @@ int train(int argc, char** argv) {
     }
     if (args.jobs > 0) plan.args.push_back("--jobs=" + std::to_string(args.jobs));
     // Instrumented supervisor => per-worker sidecars, rolled up below.
-    plan.worker_metrics = !args.metrics_out.empty();
-    plan.worker_trace = !args.trace_out.empty();
-    plan.worker_series = !args.series_out.empty();
+    plan.sidecars = args.sidecars();
 
     const std::vector<dist::JobSpec> jobs = dist::plan_train_jobs(plan);
     // Remote transports fetch bundles back under work_dir; create it up
@@ -1043,10 +1016,9 @@ int train(int argc, char** argv) {
     std::error_code work_ec;
     std::filesystem::create_directories(work_dir, work_ec);
     const std::unique_ptr<dist::Launcher> launcher =
-        args.make_launcher(args.timeout);
-    const dist::OrchestrationReport report = run_fanout(
-        jobs, *launcher, args.workers, args.retries, args.inject_fail,
-        args.quiet, args.heartbeat, !args.series_out.empty());
+        args.transport.make_launcher();
+    const dist::OrchestrationReport report = dist::run_jobs(
+        jobs, *launcher, args.supervisor(args.quiet, !args.series_out.empty()));
     if (!report.all_ok) {
       std::cerr << "rlbf_run train: fan-out failed:\n"
                 << report.failure_summary() << "\n";
@@ -1111,39 +1083,20 @@ int train(int argc, char** argv) {
   if (args.rollout_workers > 0) {
     rollout_work_dir = args.scratch_dir(
         trim_trailing_slashes(model::default_store_root()) + ".rollouts");
-    options.rollout.workers = args.rollout_workers;
-    options.rollout.worker_binary =
-        args.worker_binary.empty() ? util::current_executable(g_program_path)
-                                   : args.worker_binary;
-    options.rollout.work_dir = rollout_work_dir;
-    // Split the hardware between concurrent local workers (the learner
-    // sleeps during collection); remote workers keep their own default.
-    if (args.threads != 0) {
-      options.rollout.worker_threads = args.threads;
-    } else if (!args.remote()) {
-      options.rollout.worker_threads = std::max<std::size_t>(
-          std::thread::hardware_concurrency() / args.rollout_workers, 1);
+    dist::RolloutTransportOptions& rollout = options.rollout;
+    rollout.workers = args.rollout_workers;
+    rollout.worker = args.worker();
+    rollout.work_dir = rollout_work_dir;
+    // The learner sleeps during collection: the workers split the hardware.
+    if (const std::size_t threads =
+            args.worker_threads(args.threads, args.rollout_workers)) {
+      rollout.worker_args = {"--threads=" + std::to_string(threads)};
     }
-    options.rollout.retries = args.retries;
-    options.rollout.timeout_seconds = args.timeout;
-    options.rollout.inject_failures = parse_inject_fail(args.inject_fail);
-    options.rollout.worker_metrics = !args.metrics_out.empty();
-    options.rollout.worker_trace = !args.trace_out.empty();
-    options.rollout.worker_series = !args.series_out.empty();
-    options.rollout.heartbeat_seconds = args.heartbeat;
-    if (!args.series_out.empty()) {
-      options.rollout.on_heartbeat = [] { registry_sampler().sample_once(); };
-    }
-    if (args.remote()) {
-      options.rollout.hosts = dist::parse_hosts(args.hosts);
-      options.rollout.command_template = args.command_template;
-      options.rollout.fetch_template = args.fetch_template;
-    }
-    if (!args.quiet) {
-      options.rollout.on_event = [](const std::string& line) {
-        std::cout << "# " << line << "\n" << std::flush;
-      };
-    }
+    rollout.sidecars = args.sidecars();
+    // A malformed host list or template fails now, even on a cache hit.
+    args.transport.make_launcher();
+    rollout.transport = args.transport;
+    rollout.supervisor = args.supervisor(args.quiet, !args.series_out.empty());
   }
   if (!args.quiet) {
     // Per-epoch progress goes through util::log (stderr, leveled,
@@ -1343,10 +1296,10 @@ int collect_rollouts(int argc, char** argv) {
 
 /// The sweep being distributed is the shared SweepFlags block — bound
 /// from the same definition `run` uses and forwarded to every worker
-/// via SweepFlags::forward() — and the supervision knobs are the shared
-/// FanoutFlags block `train --workers` also uses; only the transport
-/// flags (hosts, templates) and --out_dir are orchestrate's own.
-struct OrchestrateArgs : SweepFlags, FanoutFlags, TransportFlags, ObsFlags {
+/// via SweepFlags::forward() — and the supervision and transport knobs
+/// are the shared FanoutFlags block `train` also uses; only --parallel,
+/// --out_dir and --quiet are orchestrate's own.
+struct OrchestrateArgs : SweepFlags, FanoutFlags, ObsFlags {
   std::size_t parallel = 0;
   std::string out_dir;
   bool quiet = false;
@@ -1369,9 +1322,6 @@ struct OrchestrateArgs : SweepFlags, FanoutFlags, TransportFlags, ObsFlags {
                "jobs in flight at once (0 = all workers)");
     parser.add("--out_dir", &out_dir, "where the merged files go (required)");
     bind_transport(parser);
-    parser.add("--inject_fail", &inject_fail,
-               "test hook: \"JOB:COUNT[,JOB:COUNT...]\" forces the first "
-               "COUNT attempts of job JOB to fail and be retried");
     parser.add_flag("--quiet", &quiet, "suppress per-job progress lines");
     bind_obs(parser);
     return parser;
@@ -1435,8 +1385,8 @@ int orchestrate(int argc, char** argv) {
     std::cerr << "rlbf_run orchestrate: --workers must be >= 1\n";
     return 2;
   }
-  if (const std::string err = args.transport_error("orchestrate"); !err.empty()) {
-    std::cerr << err << "\n";
+  if (const std::string err = args.transport.pairing_error(); !err.empty()) {
+    std::cerr << "rlbf_run orchestrate: " << err << "\n";
     return 2;
   }
   // Deterministic CLI errors fail HERE, like `run`'s own up-front
@@ -1467,41 +1417,31 @@ int orchestrate(int argc, char** argv) {
   }
 
   dist::PlanOptions plan;
-  plan.worker = args.worker_binary.empty()
-                    ? util::current_executable(g_program_path)
-                    : args.worker_binary;
+  plan.worker = args.worker();
   plan.workers = args.workers;
   plan.work_dir = work_dir;
-  if (args.threads == 0 && args.command_template.empty()) {
-    // Local pool: split the hardware between the concurrent workers
-    // instead of letting each default to full concurrency. (Remote
-    // jobs keep their own machine's default.)
-    const std::size_t in_flight =
-        args.parallel == 0 ? args.workers : std::min(args.parallel, args.workers);
-    args.threads = std::max<std::size_t>(
-        std::thread::hardware_concurrency() / in_flight, 1);
-  }
+  args.threads = args.worker_threads(
+      args.threads,
+      args.parallel == 0 ? args.workers : std::min(args.parallel, args.workers));
   // Every result-shaping flag comes from the shared SweepFlags block —
   // adding a flag there forwards it here automatically.
   plan.args = args.forward();
   // When the supervisor is instrumented, every worker writes its own
   // sidecars into the work dir; save_fleet_obs rolls them up below.
-  plan.worker_metrics = !args.metrics_out.empty();
-  plan.worker_trace = !args.trace_out.empty();
-  plan.worker_series = !args.series_out.empty();
+  plan.sidecars = args.sidecars();
 
   const std::vector<dist::JobSpec> jobs = dist::plan_sweep_jobs(plan);
 
   // Choose the transport: a local process pool, or the user's command
   // template expanded over the host list.
   const std::unique_ptr<dist::Launcher> launcher =
-      args.make_launcher(args.timeout);
+      args.transport.make_launcher();
 
-  const std::size_t parallel =
-      args.parallel == 0 ? args.workers : args.parallel;
-  const dist::OrchestrationReport report = run_fanout(
-      jobs, *launcher, parallel, args.retries, args.inject_fail, args.quiet,
-      args.heartbeat, !args.series_out.empty());
+  dist::OrchestratorOptions supervisor =
+      args.supervisor(args.quiet, !args.series_out.empty());
+  if (args.parallel != 0) supervisor.max_parallel = args.parallel;
+  const dist::OrchestrationReport report =
+      dist::run_jobs(jobs, *launcher, supervisor);
   if (!report.all_ok) {
     std::cerr << "rlbf_run orchestrate: run failed:\n"
               << report.failure_summary() << "\n";
@@ -2520,38 +2460,40 @@ struct Command {
   const char* name;
   const char* blurb;                      // one line for the overview
   std::string (*usage)();                 // the command's full usage text
+  int (*handler)(int argc, char** argv);  // argv[0] is the command name
 };
 
-/// One place enumerates every subcommand; `help`, `help <command>`, and
-/// the unknown-command error all render from it, so they can never
-/// drift apart.
+/// One place enumerates every subcommand; dispatch, `help`, `help
+/// <command>`, and the unknown-command error all read it, so they can
+/// never drift apart.
 const std::vector<Command>& command_table() {
   static const std::vector<Command> commands = {
       {"run", "run scenarios and parameter sweeps (alias: sweep)",
-       [] { return RunArgs{}.make_parser().usage(); }},
+       [] { return RunArgs{}.make_parser().usage(); }, run},
       {"sweep", "alias of run (reads naturally with --shard=I/N)",
-       [] { return RunArgs{}.make_parser().usage(); }},
+       [] { return RunArgs{}.make_parser().usage(); }, run},
       {"merge", "recombine shard-tagged sweep outputs",
-       [] { return MergeArgs{}.make_parser().usage(); }},
+       [] { return MergeArgs{}.make_parser().usage(); }, merge},
       {"orchestrate", "launch, supervise, and merge a distributed sweep",
-       [] { return OrchestrateArgs{}.make_parser().usage(); }},
+       [] { return OrchestrateArgs{}.make_parser().usage(); }, orchestrate},
       {"train", "train specs into the model store (sharded or fanned out)",
-       [] { return TrainArgs{}.make_parser().usage(); }},
+       [] { return TrainArgs{}.make_parser().usage(); }, train},
       {"collect-rollouts",
        "rollout worker behind train --rollout_workers (actor/learner split)",
-       [] { return CollectRolloutsArgs{}.make_parser().usage(); }},
+       [] { return CollectRolloutsArgs{}.make_parser().usage(); },
+       collect_rollouts},
       {"models", "list and maintain the model store",
-       [] { return ModelsArgs{}.make_parser().usage(); }},
+       [] { return ModelsArgs{}.make_parser().usage(); }, models},
       {"bench",
        "time the sim/train/dist hot paths into a JSON report "
        "(--compare gates against a baseline)",
-       [] { return BenchArgs{}.make_parser().usage(); }},
+       [] { return BenchArgs{}.make_parser().usage(); }, bench},
       {"profile", "self-time table per span name from a trace file",
-       [] { return ProfileArgs{}.make_parser().usage(); }},
+       [] { return ProfileArgs{}.make_parser().usage(); }, profile},
       {"curves",
        "render --series_out time series (training curves, fleet series) "
        "as aligned table/CSV/JSON",
-       [] { return CurvesArgs{}.make_parser().usage(); }},
+       [] { return CurvesArgs{}.make_parser().usage(); }, curves},
   };
   return commands;
 }
@@ -2598,19 +2540,9 @@ int main(int argc, char** argv) {
     // Subcommand dispatch; the bare legacy flag form still means `run`.
     if (argc > 1 && argv[1][0] != '-') {
       const std::string command = argv[1];
-      // `sweep` is an alias of `run`: sharded grids read more naturally
-      // as `rlbf_run sweep --shard=0/3` but share every flag with run.
-      if (command == "run" || command == "sweep") return run(argc - 1, argv + 1);
-      if (command == "merge") return merge(argc - 1, argv + 1);
-      if (command == "orchestrate") return orchestrate(argc - 1, argv + 1);
-      if (command == "train") return train(argc - 1, argv + 1);
-      if (command == "collect-rollouts") {
-        return collect_rollouts(argc - 1, argv + 1);
+      for (const Command& entry : command_table()) {
+        if (command == entry.name) return entry.handler(argc - 1, argv + 1);
       }
-      if (command == "models") return models(argc - 1, argv + 1);
-      if (command == "bench") return bench(argc - 1, argv + 1);
-      if (command == "profile") return profile(argc - 1, argv + 1);
-      if (command == "curves") return curves(argc - 1, argv + 1);
       if (command == "help") return help(argc - 1, argv + 1);
       std::cerr << "rlbf_run: unknown command '" << command
                 << "' (known: " << known_command_names() << ")\n";
