@@ -1,9 +1,8 @@
 #include "sched/conservative_backfill.h"
 
 #include <algorithm>
-#include <functional>
-#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace rlbf::sched {
 
@@ -31,60 +30,57 @@ AvailabilityProfile AvailabilityProfile::from_cluster(
 
 std::size_t AvailabilityProfile::segment_index(std::int64_t t) const {
   // Last breakpoint with time <= t; t >= now_ is a precondition.
-  std::size_t lo = 0;
-  for (std::size_t i = 0; i < breakpoints_.size(); ++i) {
-    if (breakpoints_[i].time <= t) lo = i;
-    else break;
-  }
-  return lo;
+  const auto after = std::upper_bound(
+      breakpoints_.begin(), breakpoints_.end(), t,
+      [](std::int64_t value, const Segment& seg) { return value < seg.time; });
+  if (after == breakpoints_.begin()) return 0;
+  return static_cast<std::size_t>(after - breakpoints_.begin()) - 1;
 }
 
-void AvailabilityProfile::insert_breakpoint(std::int64_t t) {
+std::size_t AvailabilityProfile::insert_breakpoint(std::int64_t t) {
   const std::size_t i = segment_index(t);
-  if (breakpoints_[i].time == t) return;
+  if (breakpoints_[i].time == t) return i;
   breakpoints_.insert(breakpoints_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
                       {t, breakpoints_[i].free});
+  return i + 1;
 }
 
 std::int64_t AvailabilityProfile::earliest_start(std::int64_t procs,
                                                  std::int64_t duration) const {
   if (duration <= 0) duration = 1;
   // Only breakpoint times can be optimal starts: between breakpoints the
-  // free level is constant, so feasibility cannot improve. Try each in
-  // ascending order and verify every segment overlapping the window
-  // [start, start + duration) has enough capacity.
-  for (std::size_t i = 0; i < breakpoints_.size(); ++i) {
-    const std::int64_t start = std::max(breakpoints_[i].time, now_);
-    const std::int64_t end = start + duration;
-    bool ok = true;
-    for (std::size_t j = 0; j < breakpoints_.size(); ++j) {
-      const std::int64_t seg_start = breakpoints_[j].time;
-      const std::int64_t seg_end = (j + 1 < breakpoints_.size())
-                                       ? breakpoints_[j + 1].time
-                                       : std::numeric_limits<std::int64_t>::max();
-      if (seg_end <= start) continue;  // segment ends before the window
-      if (seg_start >= end) break;     // past the window; later ones too
-      if (breakpoints_[j].free < procs) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return start;
+  // free level is constant, so feasibility cannot improve. The window
+  // from breakpoint i covers segments i..k, the last with time < end.
+  // If segment j in it is too narrow, every start i..j overlaps j too
+  // (each begins no later than t_j and ends no earlier than
+  // t_i + duration > t_j), so the sweep resumes at j + 1 and visits each
+  // segment once.
+  const std::size_t n = breakpoints_.size();
+  std::size_t i = 0;
+  while (i < n) {
+    const std::int64_t end = breakpoints_[i].time + duration;
+    std::size_t j = i;
+    while (j < n && breakpoints_[j].time < end && breakpoints_[j].free >= procs) ++j;
+    if (j == n || breakpoints_[j].time >= end) return breakpoints_[i].time;
+    i = j + 1;
   }
   throw std::runtime_error("profile: no feasible start (job wider than machine?)");
 }
 
 void AvailabilityProfile::reserve(std::int64_t start, std::int64_t procs,
                                   std::int64_t duration) {
+  if (start < now_) {
+    throw std::invalid_argument("profile: reserve start " + std::to_string(start) +
+                                " is before now " + std::to_string(now_));
+  }
   if (duration <= 0) duration = 1;
   const std::int64_t end = start + duration;
-  insert_breakpoint(start);
-  insert_breakpoint(end);
-  for (auto& seg : breakpoints_) {
-    if (seg.time >= start && seg.time < end) {
-      seg.free -= procs;
-      if (seg.free < 0) throw std::runtime_error("profile: negative capacity");
-    }
+  const std::size_t first = insert_breakpoint(start);
+  insert_breakpoint(end);  // lands after `first`, which stays valid
+  for (std::size_t i = first; i < breakpoints_.size() && breakpoints_[i].time < end;
+       ++i) {
+    breakpoints_[i].free -= procs;
+    if (breakpoints_[i].free < 0) throw std::runtime_error("profile: negative capacity");
   }
 }
 
@@ -111,38 +107,40 @@ namespace {
 
 /// Shared plan-and-compare core: admit the first candidate that delays
 /// no queued job's planned start by more than its allowance. The
-/// allowance callback receives the queued job's trace index so it can
-/// use the context's memoized estimates.
-std::optional<std::size_t> choose_with_allowance(
-    const sim::BackfillContext& ctx,
-    const std::function<std::int64_t(std::size_t)>& allowance) {
+/// allowance receives the queued job's trace index so it can use the
+/// context's memoized estimates; it is evaluated once per queued job per
+/// decision. Each candidate's replan compares as it goes and stops at
+/// the first job past its limit.
+template <class Allowance>
+std::optional<std::size_t> choose_with_allowance(const sim::BackfillContext& ctx,
+                                                 const Allowance& allowance) {
   const AvailabilityProfile base = AvailabilityProfile::from_cluster(
       ctx.cluster, ctx.trace, ctx.estimator, ctx.now, ctx.cache);
 
-  // Baseline plan: every queued job packed in priority order.
-  const std::vector<std::int64_t> baseline = plan_starts(base, ctx.queue, ctx);
+  // Baseline plan: every queued job packed in priority order (this is
+  // where a job wider than the machine throws). limit[q] is the latest
+  // start queue[q] may be pushed to.
+  std::vector<std::int64_t> limit = plan_starts(base, ctx.queue, ctx);
+  for (std::size_t q = 0; q < ctx.queue.size(); ++q) limit[q] += allowance(ctx.queue[q]);
 
+  AvailabilityProfile with_cand = base;  // one buffer, reused per candidate
   for (std::size_t c = 0; c < ctx.candidates.size(); ++c) {
     const std::size_t cand = ctx.candidates[c];
     // Plan again with the candidate running *now*; the rest of the queue
     // (minus the candidate) must stay within its delay allowance.
-    AvailabilityProfile with_cand = base;
-    const auto& cjob = ctx.trace[cand];
-    with_cand.reserve(ctx.now, cjob.procs(), sim::context_estimate(ctx, cand));
-
-    std::vector<std::size_t> rest;
-    std::vector<std::int64_t> rest_baseline;
-    for (std::size_t q = 0; q < ctx.queue.size(); ++q) {
-      if (ctx.queue[q] == cand) continue;
-      rest.push_back(ctx.queue[q]);
-      rest_baseline.push_back(baseline[q]);
-    }
-    const std::vector<std::int64_t> with_starts = plan_starts(with_cand, rest, ctx);
+    with_cand = base;
+    with_cand.reserve(ctx.now, ctx.trace[cand].procs(), sim::context_estimate(ctx, cand));
     bool delays = false;
-    for (std::size_t q = 0; q < rest.size(); ++q) {
-      if (with_starts[q] > rest_baseline[q] + allowance(rest[q])) {
+    for (std::size_t q = 0; q < ctx.queue.size() && !delays; ++q) {
+      const std::size_t idx = ctx.queue[q];
+      if (idx == cand) continue;
+      const std::int64_t procs = ctx.trace[idx].procs();
+      const std::int64_t dur = sim::context_estimate(ctx, idx);
+      const std::int64_t s = with_cand.earliest_start(procs, dur);
+      if (s > limit[q]) {
         delays = true;
-        break;
+      } else {
+        with_cand.reserve(s, procs, dur);
       }
     }
     if (!delays) return c;

@@ -17,6 +17,14 @@ namespace rlbf::sched {
 /// Step-function of free processors over future time. Built from the
 /// running set's *estimated* completion times; reservations carve
 /// capacity out of it.
+///
+/// Representation: B breakpoints whose times strictly increase, the
+/// first at `now`; each holds the free count until the next one, and the
+/// last segment extends to infinity. Every operation keeps that order
+/// (reserve rejects starts before `now`), and the binary-search lookup
+/// relies on it. Costs, for B breakpoints: lookups O(log B),
+/// earliest_start O(B), reserve O(B) (a vector insert plus a walk over
+/// the reserved window only).
 class AvailabilityProfile {
  public:
   /// Profile with `total` processors free from `now` onward.
@@ -34,19 +42,25 @@ class AvailabilityProfile {
                                           sim::FeatureCache* cache = nullptr);
 
   /// Earliest time >= now at which `procs` processors stay free for
-  /// `duration` seconds.
+  /// `duration` seconds (non-positive durations count as 1). One forward
+  /// two-pointer sweep, O(B). Throws std::runtime_error if no start
+  /// exists (`procs` exceeds the machine).
   std::int64_t earliest_start(std::int64_t procs, std::int64_t duration) const;
 
-  /// Subtract `procs` over [start, start + duration). Throws if that
-  /// would drive any segment negative.
+  /// Subtract `procs` over [start, start + duration) (non-positive
+  /// durations count as 1). Precondition `start >= now`: an earlier start
+  /// would break the breakpoint order, so it throws std::invalid_argument
+  /// naming both times. Throws std::runtime_error if the window would
+  /// drive any segment negative.
   void reserve(std::int64_t start, std::int64_t procs, std::int64_t duration);
 
-  /// Free processors at an instant (for tests/debugging).
+  /// Free processors at an instant (for tests/debugging; times before
+  /// now read as now). O(log B).
   std::int64_t free_at(std::int64_t t) const;
 
  private:
   // breakpoints_[i] = {t_i, free from t_i until t_{i+1}} ; last segment
-  // extends to infinity. Invariant: t strictly increasing.
+  // extends to infinity. Invariant: t strictly increasing, t_0 = now_.
   struct Segment {
     std::int64_t time;
     std::int64_t free;
@@ -54,8 +68,11 @@ class AvailabilityProfile {
   std::vector<Segment> breakpoints_;
   std::int64_t now_;
 
+  /// Index of the last breakpoint with time <= t (upper_bound, O(log B)).
   std::size_t segment_index(std::int64_t t) const;
-  void insert_breakpoint(std::int64_t t);
+  /// Split the segment holding t at t (no-op if t is a breakpoint) and
+  /// return the index of the breakpoint at t.
+  std::size_t insert_breakpoint(std::int64_t t);
 };
 
 /// Planned start for each job of `order` when greedily packed into the
@@ -65,6 +82,13 @@ std::vector<std::int64_t> plan_starts(AvailabilityProfile profile,
                                       const std::vector<std::size_t>& order,
                                       const sim::BackfillContext& ctx);
 
+/// Both choosers plan the whole queue once per decision (the baseline,
+/// where a job wider than the machine throws), then replan for each
+/// candidate in turn with the candidate started now, comparing as they
+/// go: a candidate is rejected at the first queued job whose replanned
+/// start passes its baseline start plus allowance, without planning the
+/// rest of the queue. The first candidate that delays nobody past its
+/// allowance is admitted.
 class ConservativeBackfillChooser final : public sim::BackfillChooser {
  public:
   std::optional<std::size_t> choose(const sim::BackfillContext& ctx) override;

@@ -46,6 +46,25 @@ TEST(Profile, NegativeCapacityThrows) {
   EXPECT_THROW(p.reserve(50, 1, 10), std::runtime_error);
 }
 
+TEST(Profile, ReserveBeforeNowIsRejected) {
+  // A window starting before the profile's origin would put a breakpoint
+  // ahead of `now` and break the strictly increasing order.
+  AvailabilityProfile p(100, 8);
+  try {
+    p.reserve(50, 4, 100);
+    FAIL() << "reserve before now was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("50"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("100"), std::string::npos) << msg;
+  }
+  // The profile is untouched and still usable.
+  EXPECT_EQ(p.free_at(100), 8);
+  p.reserve(100, 4, 100);
+  EXPECT_EQ(p.free_at(150), 4);
+  EXPECT_EQ(p.free_at(200), 8);
+}
+
 TEST(Profile, EarliestStartImmediateWhenFree) {
   AvailabilityProfile p(10, 8);
   EXPECT_EQ(p.earliest_start(8, 100), 10);
