@@ -220,39 +220,21 @@ core::EvalProtocol protocol_of(const BenchArgs& args) {
   return protocol;
 }
 
-EvalStats to_stats(core::EvalResult result) {
-  EvalStats stats;
-  stats.mean = result.mean;
-  stats.ci_lo = result.ci_lo;
-  stats.ci_hi = result.ci_hi;
-  stats.samples = std::move(result.samples);
-  return stats;
-}
-
 }  // namespace
-
-EvalStats eval_spec_stats(const swf::Trace& trace, const sched::SchedulerSpec& spec,
-                          const BenchArgs& args) {
-  return to_stats(core::evaluate_spec(trace, spec, protocol_of(args)));
-}
 
 double eval_spec(const swf::Trace& trace, const sched::SchedulerSpec& spec,
                  const BenchArgs& args) {
-  return eval_spec_stats(trace, spec, args).mean;
-}
-
-EvalStats eval_rlbf_stats(const swf::Trace& trace, const core::Agent& agent,
-                          const std::string& base_policy, const BenchArgs& args) {
-  return to_stats(core::evaluate_agent(trace, agent, base_policy, protocol_of(args)));
+  return core::evaluate_spec(trace, spec, protocol_of(args)).mean;
 }
 
 double eval_rlbf(const swf::Trace& trace, const core::Agent& agent,
                  const std::string& base_policy, const BenchArgs& args) {
-  return eval_rlbf_stats(trace, agent, base_policy, args).mean;
+  return core::evaluate_agent(trace, agent, base_policy, protocol_of(args)).mean;
 }
 
-EvalStats eval_scenario_stats(const exp::ScenarioSpec& spec, const BenchArgs& args) {
-  return to_stats(exp::evaluate_scenario(spec, protocol_of(args)));
+core::EvalResult eval_scenario_stats(const exp::ScenarioSpec& spec,
+                                     const BenchArgs& args) {
+  return exp::evaluate_scenario(spec, protocol_of(args));
 }
 
 double eval_scenario(const exp::ScenarioSpec& spec, const BenchArgs& args) {

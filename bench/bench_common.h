@@ -110,33 +110,23 @@ double entry_stat(const model::TrainOutcome& outcome, const std::string& key);
 /// Per-epoch greedy-eval bsld curve (NaN on non-evaluation epochs).
 std::vector<double> entry_eval_curve(const model::TrainOutcome& outcome);
 
-/// Per-configuration evaluation outcome: the mean bsld the paper reports
-/// plus a 95% percentile-bootstrap confidence interval over the samples.
-struct EvalStats {
-  double mean = 0.0;
-  double ci_lo = 0.0;
-  double ci_hi = 0.0;
-  std::vector<double> samples;
-};
-
-/// Evaluate a heuristic scheduler spec over `samples` random
+/// Mean bsld of a heuristic scheduler spec over `samples` random
 /// `sample_jobs`-long sequences (the Table-4 protocol). Seeds derive
 /// from args.seed so every spec sees identical sequences.
-EvalStats eval_spec_stats(const swf::Trace& trace, const sched::SchedulerSpec& spec,
-                          const BenchArgs& args);
 double eval_spec(const swf::Trace& trace, const sched::SchedulerSpec& spec,
                  const BenchArgs& args);
 
 /// Same protocol with RLBackfilling under the given base policy.
-EvalStats eval_rlbf_stats(const swf::Trace& trace, const core::Agent& agent,
-                          const std::string& base_policy, const BenchArgs& args);
 double eval_rlbf(const swf::Trace& trace, const core::Agent& agent,
                  const std::string& base_policy, const BenchArgs& args);
 
 /// The same protocol routed through exp::evaluate_scenario: the spec
 /// names the workload (trace construction is deduped by the exp trace
-/// cache) and may reference a trained agent via scheduler.agent.
-EvalStats eval_scenario_stats(const exp::ScenarioSpec& spec, const BenchArgs& args);
+/// cache) and may reference a trained agent via scheduler.agent. The
+/// result carries the mean plus a 95% percentile-bootstrap confidence
+/// interval over the samples.
+core::EvalResult eval_scenario_stats(const exp::ScenarioSpec& spec,
+                                     const BenchArgs& args);
 double eval_scenario(const exp::ScenarioSpec& spec, const BenchArgs& args);
 
 /// Deployment bsld of a stored agent (store key or other agent

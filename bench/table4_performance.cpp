@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     const std::string sjf_key =
         bench::get_or_train_entry(trace, "SJF", args).entry.key;
 
-    std::vector<std::pair<std::string, std::optional<bench::EvalStats>>> cells;
+    std::vector<std::pair<std::string, std::optional<core::EvalResult>>> cells;
     cells.emplace_back("FCFS+EASY",
                        heuristic("FCFS", sched::EstimateKind::RequestTime));
     cells.emplace_back("FCFS+EASY-AR",

@@ -81,8 +81,8 @@ std::shared_ptr<const swf::Trace> build_trace_cached(
 
 /// Snapshot of the trace-cache counters. The counts live in the obs
 /// metrics registry (exp.trace_cache.hits / .misses / .evictions) so a
-/// --metrics_out dump and `rlbf_run bench` report them; this struct is a
-/// convenience read of those counters plus the current residency.
+/// --metrics_out dump reports them; this struct is a convenience read of
+/// those counters plus the current residency.
 struct TraceCacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;

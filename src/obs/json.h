@@ -1,11 +1,11 @@
 // The one JSON reader and the one JSON writer for the observability
 // sinks this repo emits — metrics registry dumps, Chrome trace_event
-// documents, series files, training curves, and bench reports — plus
-// the artifact-file helpers (read_file / write_file / csv_field) every
-// obs and CLI sink goes through. It exists so obs::merge / obs::profile
-// / `rlbf_run bench --compare` can consume those files without an
-// external dependency, and it stays inside obs (standard library only)
-// so the layering contract in obs/metrics.h holds.
+// documents, series files and training curves — plus the
+// artifact-file helpers (read_file / write_file / csv_field) every obs
+// and CLI sink goes through. It exists so obs::merge / obs::profile /
+// `rlbf_run curves` can consume those files without an external
+// dependency, and it stays inside obs (standard library only) so the
+// layering contract in obs/metrics.h holds.
 //
 // Reader scope: full JSON syntax (objects, arrays, strings with
 // escapes, numbers, bools, null), source-order-preserving objects, and
@@ -135,7 +135,7 @@ namespace rlbf::obs {
 
 /// The whole file as a string. Throws std::runtime_error "cannot open
 /// <what>: <path>", "cannot read <what>: <path>" or "<what> is empty:
-/// <path>" — `what` names the artifact ("sidecar file", "bench report").
+/// <path>" — `what` names the artifact ("sidecar file", "series file").
 std::string read_file(const std::string& path, const std::string& what);
 
 /// Open `path` binary and truncating, hand the stream to `write`, then

@@ -46,14 +46,19 @@ ParseResult parse_swf(std::istream& in, const std::string& name, const ParseOpti
     }
     std::istringstream fields(line);
     Job j;
-    // SWF: all 18 fields numeric; avg_cpu_time may be fractional.
+    // SWF: all 18 fields numeric; avg_cpu_time may be fractional. Only
+    // whitespace may follow the 18th: anything else is two jobs merged
+    // by a lost newline, or a field with trailing junk ("10abc").
+    std::string extra;
     if (!(fields >> j.id >> j.submit_time >> j.wait_time >> j.run_time >>
           j.used_procs >> j.avg_cpu_time >> j.used_memory >> j.requested_procs >>
           j.requested_time >> j.requested_memory >> j.status >> j.user_id >>
           j.group_id >> j.executable >> j.queue >> j.partition >>
-          j.preceding_job >> j.think_time)) {
+          j.preceding_job >> j.think_time) ||
+        fields >> extra) {
       std::ostringstream err;
-      err << "swf parse error at line " << lineno << " of " << name;
+      err << "swf parse error at line " << lineno << " of " << name
+          << ": expected 18 fields";
       throw std::runtime_error(err.str());
     }
     if (!j.valid()) {

@@ -2,8 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdint>
-#include <cstdio>
 
 namespace rlbf::util {
 
@@ -38,19 +36,6 @@ std::string libm_fingerprint() {
   report += "  tanh(0.75)          = " + exact(std::tanh(0.75)) + "\n";
   report += "  sqrt(2.0)           = " + exact(std::sqrt(2.0)) + "\n";
   return report;
-}
-
-std::string libm_fingerprint_id() {
-  const std::string report = libm_fingerprint();
-  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a 64
-  for (const char c : report) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buf;
 }
 
 }  // namespace rlbf::util

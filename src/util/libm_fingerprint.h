@@ -21,10 +21,4 @@ namespace rlbf::util {
 /// output means bit-identical libm results for these probes.
 std::string libm_fingerprint();
 
-/// One-token digest of the full report (FNV-1a 64 over its bytes,
-/// rendered as 16 hex digits) — for machine-readable reports like the
-/// bench "source" block, where a multi-line dump doesn't fit. Equal
-/// ids <=> byte-identical reports <=> bit-identical libm probes.
-std::string libm_fingerprint_id();
-
 }  // namespace rlbf::util

@@ -216,21 +216,14 @@ expect_failure("train malformed shard" "malformed shard spec 'x'"
 expect_failure("train shard out of range" "shard index 5 out of range"
                train --spec=sdsc-tiny --shard=5/2)
 
-# profile and the bench gate: every bad input is a named error with the
-# documented exit code (1 = error, 2 = usage; the gate's exit 3 is
-# exercised in obs_fleet_test.cmake).
+# profile: every bad input is a named error with the documented exit
+# code (1 = error, 2 = usage).
 expect_failure("profile without a trace" "pass a trace file" profile)
 expect_failure("profile missing trace" "cannot open sidecar file"
                profile no_such.trace.json)
 file(WRITE "${WORK_DIR}/broken.trace.json" "{\"traceEvents\": [")
 expect_failure("profile malformed trace" "broken.trace.json"
                profile broken.trace.json)
-expect_failure("bench candidate without compare" "--candidate needs --compare"
-               bench --candidate=whatever.json)
-expect_failure("bench compare missing baseline" "cannot open bench report"
-               bench --compare=no_such_base.json --candidate=no_such_base.json)
-expect_failure("bench non-positive threshold" "--threshold must be > 0"
-               bench --compare=a.json --candidate=b.json --threshold=0)
 
 # Multi-bundle import: a directory with no bundle anywhere is a named
 # error, not a silent zero-import.
@@ -248,7 +241,7 @@ expect_success("help overview" help)
 execute_process(COMMAND "${RLBF_RUN}" help OUTPUT_VARIABLE overview)
 string(REGEX MATCHALL "\n  [a-z-]+ " listed "${overview}")
 list(LENGTH listed listed_n)
-if(listed_n LESS 10)
+if(listed_n LESS 9)
   math(EXPR failures "${failures} + 1")
   message(WARNING "help overview lists ${listed_n} command(s):\n${overview}")
 endif()
@@ -260,6 +253,22 @@ expect_success("top-level --help" --help)
 expect_failure("help unknown command" "unknown command 'frob'" help frob)
 expect_failure("unknown command lists help" "help"
                definitely-not-a-command)
+# The retired `bench` command (the repository benchmark is perfbench/)
+# is gone from dispatch and from the help overview alike: both read the
+# one command table.
+execute_process(COMMAND "${RLBF_RUN}" bench
+                OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2 OR NOT "${err}" MATCHES "unknown command 'bench'")
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "retired bench: expected exit 2 and \"unknown command "
+                  "'bench'\", got '${rc}': ${err}")
+else()
+  message(STATUS "retired bench: ok (exit 2)")
+endif()
+if("${overview}" MATCHES "\n  bench ")
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "help overview still lists bench:\n${overview}")
+endif()
 
 # Sanity: the catalog listings still succeed from this harness.
 expect_success("run --list" run --list)

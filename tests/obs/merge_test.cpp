@@ -161,11 +161,11 @@ TEST(ArtifactFileTest, WriteThenReadRoundTrips) {
 
 TEST(ArtifactFileTest, ReadErrorsNameTheArtifactAndPath) {
   try {
-    obs::read_file("no/such/report.json", "bench report");
+    obs::read_file("no/such/metrics.json", "sidecar file");
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string(e.what()),
-              "cannot open bench report: no/such/report.json");
+              "cannot open sidecar file: no/such/metrics.json");
   }
   const std::string empty_path = "merge_test_empty.txt";
   std::ofstream(empty_path, std::ios::trunc).close();

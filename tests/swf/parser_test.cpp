@@ -66,6 +66,25 @@ TEST(Parser, MalformedLineThrows) {
   EXPECT_THROW(parse_swf(in, "x"), std::runtime_error);
 }
 
+TEST(Parser, ExtraFieldsRejected) {
+  const std::string job = "1 0 0 10 1 -1 -1 1 20 -1 1 1 1 -1 -1 -1 -1 -1";
+  // Two jobs merged onto one line by a lost newline: 36 fields.
+  for (const std::string& line :
+       {job + " " + job, job + " junk", job + "abc", job + " \t;x"}) {
+    std::istringstream in("; MaxProcs: 64\n" + line + "\n");
+    try {
+      parse_swf(in, "merged");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(),
+                   "swf parse error at line 2 of merged: expected 18 fields");
+    }
+  }
+  // Trailing whitespace after the 18th field is still fine.
+  std::istringstream in(job + " \t \r\n");
+  EXPECT_EQ(parse_swf(in, "x").trace.size(), 1u);
+}
+
 TEST(Parser, MachineSizeFallsBackToWidestJob) {
   std::istringstream in("1 0 0 10 16 -1 -1 16 20 -1 1 1 1 -1 -1 -1 -1 -1\n");
   const ParseResult r = parse_swf(in, "x");

@@ -50,7 +50,6 @@
 // --workers value: trained models, the summary CSV/JSON, and the
 // per-job CSVs are byte-identical across repeated runs.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -83,7 +82,6 @@
 #include "obs/profile.h"
 #include "obs/series.h"
 #include "obs/trace.h"
-#include "util/libm_fingerprint.h"
 #include "util/log.h"
 #include "util/subprocess.h"
 #include "util/table.h"
@@ -188,7 +186,7 @@ int write_sink(const char* flag, const std::string& path,
   return 1;
 }
 
-/// The observability surface run/train/orchestrate (and bench) share:
+/// The observability surface run/train/orchestrate share:
 /// --metrics_out / --trace_out enable the corresponding obs subsystem
 /// for the process and dump its sink to a file at successful exit, and
 /// --log_elapsed prefixes every stderr log line with elapsed time.
@@ -1810,494 +1808,6 @@ int curves(int argc, char** argv) {
   return 0;
 }
 
-// --------------------------------------------------------------- bench
-
-/// A pinned micro-benchmark of the three hot paths — full-trace
-/// simulation, a real training run on a scratch store, and a 1-worker
-/// orchestrated sweep job — reported as one JSON file (the checked-in
-/// BENCH_PR<n>.json trajectory). Metrics are force-enabled for the
-/// process (they ARE the measurement), and every phase leaves spans in
-/// the trace, so --trace_out captures the sim, sweep, train, and dist
-/// layers in one timeline.
-struct BenchArgs : ObsFlags {
-  std::string out = "BENCH_PR10.json";
-  std::string scenario = "sdsc-easy";
-  std::size_t jobs = 10000;
-  std::size_t sim_repeat = 3;
-  std::string train_spec = "sdsc-tiny";
-  std::size_t epochs = 1;
-  std::size_t dist_jobs = 400;
-  std::uint64_t seed = 1;
-  std::size_t threads = 0;
-  bool quick = false;
-  std::string tag = "dev";
-  std::string compare;
-  std::string candidate;
-  double threshold = 0.25;
-  std::string verdict_out;
-
-  exp::ArgParser make_parser() {
-    exp::ArgParser parser(
-        "rlbf_run bench",
-        "Time an end-to-end trace simulation, one training epoch, and a "
-        "1-worker orchestrated sweep job; write the measurements as one "
-        "JSON report (the checked-in BENCH_PR<n>.json perf trajectory). "
-        "--compare=BASE diffs the new report against a baseline report "
-        "and exits 3 on a regression beyond --threshold.");
-    parser.add("--out", &out, "where the JSON report goes");
-    parser.add("--tag", &tag,
-               "label recorded in the report's source block (e.g. PR7, ci)");
-    parser.add("--compare", &compare,
-               "baseline bench report to diff the fresh report against; "
-               "prints a field-by-field table and exits 3 on regression");
-    parser.add("--candidate", &candidate,
-               "with --compare: diff this EXISTING report instead of "
-               "running the bench (pure file-vs-file mode)");
-    parser.add("--threshold", &threshold,
-               "relative change that counts as a regression (0.25 = 25%)");
-    parser.add("--verdict_out", &verdict_out,
-               "write the machine-readable comparison verdict JSON here");
-    parser.add("--scenario", &scenario, "scenario timed by the sim phase");
-    parser.add("--jobs", &jobs, "trace length for the sim phase");
-    parser.add("--sim_repeat", &sim_repeat,
-               "sim-phase repetitions (the first builds the trace, the "
-               "rest hit the trace cache)");
-    parser.add("--train_spec", &train_spec,
-               "training spec timed by the train phase (trained into a "
-               "fresh scratch store, so it always really trains)");
-    parser.add("--epochs", &epochs,
-               "override the train spec's epochs (0 = keep)");
-    parser.add("--dist_jobs", &dist_jobs,
-               "trace length of the orchestrated worker job");
-    parser.add("--seed", &seed, "master seed for every phase");
-    parser.add("--threads", &threads,
-               "train-phase worker threads (0 = hardware); the sim phase "
-               "is single-threaded by design — it times the hot loop");
-    parser.add_flag("--quick", &quick, "CI-sized run: smaller every phase");
-    bind_obs(parser);
-    return parser;
-  }
-};
-
-/// The compile-time platform tag in the bench source block — enough to
-/// tell two trajectory points apart without trusting the filename.
-std::string platform_string() {
-  const std::string compiler =
-#if defined(__clang__)
-      "clang " + std::to_string(__clang_major__) + "." +
-      std::to_string(__clang_minor__);
-#elif defined(__GNUC__)
-      "gcc " + std::to_string(__GNUC__) + "." + std::to_string(__GNUC_MINOR__);
-#else
-      "unknown-compiler";
-#endif
-  const char* arch =
-#if defined(__x86_64__) || defined(_M_X64)
-      "x86_64";
-#elif defined(__aarch64__) || defined(_M_ARM64)
-      "aarch64";
-#else
-      "unknown-arch";
-#endif
-  const char* os =
-#if defined(__linux__)
-      "linux";
-#elif defined(__APPLE__)
-      "macos";
-#else
-      "unknown-os";
-#endif
-  return compiler + ", " + arch + "-" + os;
-}
-
-/// The fields the regression gate compares. Wall-time fields only mean
-/// anything when both reports measured the same workload, so they are
-/// config-sensitive: skipped (named in the table) when the two config
-/// blocks differ — which is what lets CI's --quick run gate against a
-/// full-budget checked-in baseline on the rate fields alone.
-struct CompareField {
-  const char* section;
-  const char* key;
-  bool higher_better;
-  bool config_sensitive;
-};
-
-constexpr CompareField kCompareFields[] = {
-    {"sim", "wall_seconds_min", false, true},
-    {"sim", "wall_seconds_mean", false, true},
-    {"sim", "events_per_second", true, false},
-    {"train", "wall_seconds", false, true},
-    {"train", "epoch_seconds_mean", false, true},
-    {"sweep", "instance_seconds_mean", false, true},
-    {"dist", "job_seconds_total", false, true},
-    {"dist", "worker_utilization", true, false},
-    // Schema-v3 work counters (deterministic, so any same-config change
-    // is real): fewer NN passes and fewer full queue sorts per identical
-    // workload are the hot-path campaign's direct evidence. Against an
-    // older baseline they surface as "skipped: new field" rows.
-    {"counters", "nn.forward_calls", false, true},
-    {"counters", "nn.forward_value_calls", false, true},
-    {"counters", "sim.schedule_recomputations", false, true},
-};
-
-bool json_equal(const obs::json::Value& a, const obs::json::Value& b) {
-  using Kind = obs::json::Value::Kind;
-  if (a.kind != b.kind) return false;
-  switch (a.kind) {
-    case Kind::Null: return true;
-    case Kind::Bool: return a.boolean == b.boolean;
-    case Kind::Number: return a.number == b.number;
-    case Kind::String: return a.text == b.text;
-    case Kind::Array:
-      if (a.items.size() != b.items.size()) return false;
-      for (std::size_t i = 0; i < a.items.size(); ++i) {
-        if (!json_equal(a.items[i], b.items[i])) return false;
-      }
-      return true;
-    case Kind::Object:
-      if (a.members.size() != b.members.size()) return false;
-      for (const auto& [key, value] : a.members) {
-        const obs::json::Value* other = b.find(key);
-        if (other == nullptr || !json_equal(value, *other)) return false;
-      }
-      return true;
-  }
-  return false;
-}
-
-/// Diff two bench reports field by field; 0 = clean, 3 = regression.
-/// Missing fields (an older schema on either side) and config-sensitive
-/// fields across differing configs are skipped BY NAME in the table —
-/// a gate that silently compared nothing would always pass.
-int bench_compare(const std::string& base_path, const std::string& cand_path,
-                  double threshold, const std::string& verdict_out) {
-  if (!(threshold > 0.0)) {
-    std::cerr << "rlbf_run bench: --threshold must be > 0\n";
-    return 2;
-  }
-  const obs::json::Value base =
-      obs::json::parse(obs::read_file(base_path, "bench report"), base_path);
-  const obs::json::Value cand =
-      obs::json::parse(obs::read_file(cand_path, "bench report"), cand_path);
-  const obs::json::Value* base_cfg = base.find("config");
-  const obs::json::Value* cand_cfg = cand.find("config");
-  const bool config_match =
-      base_cfg != nullptr && cand_cfg != nullptr &&
-      json_equal(*base_cfg, *cand_cfg);
-
-  struct Row {
-    std::string field;
-    bool has_base = false;
-    bool has_cand = false;
-    double base = 0.0;
-    double cand = 0.0;
-    bool has_change = false;
-    double change = 0.0;
-    std::string status;
-  };
-  std::vector<Row> rows;
-  std::size_t regressions = 0;
-  for (const CompareField& field : kCompareFields) {
-    Row row;
-    row.field = std::string(field.section) + "." + field.key;
-    const auto lookup = [&](const obs::json::Value& report) {
-      const obs::json::Value* section = report.find(field.section);
-      return section == nullptr ? nullptr : section->find(field.key);
-    };
-    const obs::json::Value* b = lookup(base);
-    const obs::json::Value* c = lookup(cand);
-    if (b != nullptr && b->is_number()) {
-      row.has_base = true;
-      row.base = b->number;
-    }
-    if (c != nullptr && c->is_number()) {
-      row.has_cand = true;
-      row.cand = c->number;
-    }
-    if (!row.has_base && row.has_cand) {
-      // The candidate measures something the baseline predates. Named
-      // distinctly so the table documents what the next pinned baseline
-      // starts gating — and so it never divides by the absent value.
-      row.status = "skipped: new field";
-    } else if (!row.has_base || !row.has_cand) {
-      row.status = "skipped: missing";
-    } else if (field.config_sensitive && !config_match) {
-      row.status = "skipped: config differs";
-    } else if (!std::isfinite(row.base) || !std::isfinite(row.cand)) {
-      row.status = "skipped: non-finite value";
-    } else if (row.base == 0.0) {
-      // A zero baseline makes relative change undefined (any nonzero
-      // candidate would read as an infinite regression); verdict by
-      // equality instead of dividing.
-      row.status = row.cand == 0.0 ? "ok" : "skipped: zero baseline";
-    } else {
-      row.has_change = true;
-      row.change = (row.cand - row.base) / row.base;
-      const double against = field.higher_better ? -row.change : row.change;
-      if (against > threshold) {
-        row.status = "REGRESSION";
-        ++regressions;
-      } else if (-against > threshold) {
-        row.status = "improved";
-      } else {
-        row.status = "ok";
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-
-  util::Table table({"field", "base", "candidate", "change", "status"});
-  for (const Row& row : rows) {
-    std::string change;
-    if (row.has_change) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%+.1f%%", row.change * 100.0);
-      change = buf;
-    }
-    table.add_row({row.field,
-                   row.has_base ? exp::format_metric(row.base) : "-",
-                   row.has_cand ? exp::format_metric(row.cand) : "-",
-                   change, row.status});
-  }
-  table.print(std::cout);
-  char thr[32];
-  std::snprintf(thr, sizeof(thr), "%g%%", threshold * 100.0);
-  std::cout << "# bench compare: " << cand_path << " vs " << base_path
-            << ": " << regressions << " regression(s) at threshold " << thr
-            << (config_match ? "" : " (configs differ: wall-time fields skipped)")
-            << "\n";
-
-  if (!verdict_out.empty()) {
-    const auto exact_or_null = [](bool has, double v) {
-      return has ? exp::format_double_exact(v) : std::string("null");
-    };
-    const bool written = obs::write_file(verdict_out, [&](std::ostream& os) {
-      obs::json::Writer w(os);
-      w.object(true).key("base").value(base_path);
-      w.key("candidate").value(cand_path);
-      w.key("threshold").raw(exp::format_double_exact(threshold));
-      w.key("config_match").value(config_match);
-      w.key("fields").array(true);
-      for (const Row& row : rows) {
-        w.object().key("field").value(row.field);
-        w.key("base").raw(exact_or_null(row.has_base, row.base));
-        w.key("candidate").raw(exact_or_null(row.has_cand, row.cand));
-        w.key("change").raw(exact_or_null(row.has_change, row.change));
-        w.key("status").value(row.status).end();
-      }
-      w.end().key("regressions").value(regressions);
-      w.key("verdict").value(regressions == 0 ? "ok" : "regression").end();
-      os << "\n";
-    });
-    if (!written) {
-      std::cerr << "rlbf_run bench: cannot write --verdict_out=" << verdict_out
-                << "\n";
-      return 1;
-    }
-    std::cout << "# verdict written to " << verdict_out << "\n";
-  }
-  return regressions == 0 ? 0 : 3;
-}
-
-int bench(int argc, char** argv) {
-  BenchArgs args;
-  exp::ArgParser parser = args.make_parser();
-  parser.parse_or_exit(argc, argv);
-  args.activate_obs();
-  // Pure file-vs-file mode: diff two existing reports, run nothing.
-  if (!args.candidate.empty()) {
-    if (args.compare.empty()) {
-      std::cerr << "rlbf_run bench: --candidate needs --compare=BASE\n";
-      return 2;
-    }
-    return bench_compare(args.compare, args.candidate, args.threshold,
-                         args.verdict_out);
-  }
-  // The report is read from the metrics registry, so metrics are always
-  // on here; --metrics_out additionally dumps the raw registry.
-  obs::set_enabled(true);
-  if (args.quick) {
-    args.jobs = std::min<std::size_t>(args.jobs, 2000);
-    args.sim_repeat = std::min<std::size_t>(args.sim_repeat, 2);
-    args.dist_jobs = std::min<std::size_t>(args.dist_jobs, 200);
-  }
-  if (args.sim_repeat == 0) args.sim_repeat = 1;
-
-  // A clean slate, so the report reflects this run only.
-  obs::Registry::instance().reset();
-  exp::clear_trace_cache();
-
-  const std::string scratch = trim_trailing_slashes(args.out) + ".work";
-  std::error_code scratch_ec;
-  std::filesystem::create_directories(scratch + "/store", scratch_ec);
-  if (scratch_ec) {
-    std::cerr << "rlbf_run bench: cannot create scratch dir " << scratch
-              << ": " << scratch_ec.message() << "\n";
-    return 1;
-  }
-
-  // ---- phase 1: the simulator hot loop, single-threaded, repeated so
-  // the trace cache serves every repetition after the first.
-  util::log_info("bench: sim phase: ", args.sim_repeat, "x ", args.scenario,
-                 " @ ", args.jobs, " jobs");
-  exp::ScenarioSpec base = exp::find_scenario(args.scenario);
-  if (args.jobs > 0) base.trace_jobs = args.jobs;
-  const std::vector<exp::ScenarioSpec> sim_specs(args.sim_repeat, base);
-  exp::SweepOptions sweep_options;
-  sweep_options.seed = args.seed;
-  sweep_options.threads = 1;
-  const std::vector<exp::ScenarioRun> sim_runs =
-      exp::run_sweep(sim_specs, sweep_options);
-  const obs::Histogram::Snapshot sim_hist =
-      obs::histogram("sim.simulate_seconds").snapshot();
-  const obs::Histogram::Snapshot sweep_hist =
-      obs::histogram("sweep.instance_seconds").snapshot();
-  const std::uint64_t sim_events = obs::counter("sim.events_processed").value();
-  const double events_per_second =
-      sim_hist.sum > 0.0 ? static_cast<double>(sim_events) / sim_hist.sum : 0.0;
-  const exp::TraceCacheStats cache = exp::trace_cache_stats();
-
-  // ---- phase 2: a real training run into a fresh scratch store (a
-  // populated store would turn the phase into a cache hit and time
-  // nothing).
-  util::log_info("bench: train phase: ", args.train_spec);
-  model::TrainingSpec tspec = model::find_training_spec(args.train_spec);
-  if (args.epochs > 0) tspec.trainer.epochs = args.epochs;
-  if (args.quick) {
-    tspec.trainer.trajectories_per_epoch =
-        std::min<std::size_t>(tspec.trainer.trajectories_per_epoch, 2);
-  }
-  model::Store store(scratch + "/store");
-  model::TrainOptions train_options;
-  train_options.threads = args.threads;
-  train_options.checkpoint = false;  // scratch store; nothing to resume
-  train_options.on_progress = [](const model::TrainingSpec& spec,
-                                 const core::EpochStats& p) {
-    util::log_info("bench: ", spec.name, " epoch ", p.epoch, " wall=",
-                   exp::format_metric(p.wall_seconds), "s");
-  };
-  obs::ScopedTimer train_timer(obs::histogram("bench.train_wall_seconds"));
-  const model::TrainOutcome outcome =
-      model::train_spec(tspec, store, train_options);
-  const double train_wall = train_timer.stop();
-  const obs::Histogram::Snapshot epoch_hist =
-      obs::histogram("rl.epoch_seconds").snapshot();
-
-  // ---- phase 3: the orchestration layer — plan one shard job, launch
-  // it as a real worker process, and time queue/run/fetch.
-  util::log_info("bench: dist phase: 1-worker orchestrated sweep job");
-  dist::PlanOptions plan;
-  plan.worker = util::current_executable(g_program_path);
-  plan.workers = 1;
-  plan.work_dir = scratch + "/dist";
-  plan.args = {"--scenario=" + args.scenario,
-               "--jobs=" + std::to_string(args.dist_jobs),
-               "--seed=" + std::to_string(args.seed),
-               "--threads=1",
-               "--per_job=0",
-               "--format=csv"};
-  const std::vector<dist::JobSpec> dist_plan = dist::plan_sweep_jobs(plan);
-  dist::LocalLauncher launcher(0.0);
-  dist::OrchestratorOptions dist_options;
-  dist_options.on_event = [](const std::string& line) {
-    util::log_info("bench: ", line);
-  };
-  const dist::OrchestrationReport report =
-      dist::run_jobs(dist_plan, launcher, dist_options);
-  if (!report.all_ok) {
-    std::cerr << "rlbf_run bench: dist phase failed:\n"
-              << report.failure_summary() << "\n";
-    return 1;
-  }
-  const obs::Histogram::Snapshot dist_hist =
-      obs::histogram("dist.job_seconds").snapshot();
-  const double worker_utilization = obs::gauge("dist.worker_utilization").value();
-
-  // ---- the report. Every number exact (shortest-round-trip, C locale)
-  // so the schema check parses what we wrote, not a rounding of it.
-  const auto num = [](double v) { return exp::format_double_exact(v); };
-  const auto mean = [](const obs::Histogram::Snapshot& h) {
-    return h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0;
-  };
-  const auto write_report = [&](std::ostream& os) {
-    obs::json::Writer w(os);
-    w.object(true).key("bench").value("rlbf_run bench");
-    w.key("schema_version").value(3);
-    w.key("source").object(true).key("tag").value(args.tag);
-    w.key("platform").value(platform_string());
-    w.key("libm").value(util::libm_fingerprint_id()).end();
-    w.key("config").object(true).key("scenario").value(base.name);
-    w.key("jobs").value(args.jobs).key("sim_repeat").value(args.sim_repeat);
-    w.key("train_spec").value(tspec.name);
-    w.key("epochs").value(tspec.trainer.epochs);
-    w.key("dist_jobs").value(args.dist_jobs).key("seed").value(args.seed);
-    w.key("threads").value(args.threads).key("quick").value(args.quick).end();
-    w.key("sim").object(true).key("runs").value(sim_hist.count);
-    w.key("trace_jobs").value(sim_runs.empty() ? 0 : sim_runs.front().jobs);
-    w.key("wall_seconds_total").raw(num(sim_hist.sum));
-    w.key("wall_seconds_min").raw(num(sim_hist.min));
-    w.key("wall_seconds_mean").raw(num(mean(sim_hist)));
-    w.key("events_processed").value(sim_events);
-    w.key("events_per_second").raw(num(events_per_second)).end();
-    w.key("trace_cache").object(true).key("hits").value(cache.hits);
-    w.key("misses").value(cache.misses).key("evictions").value(cache.evictions);
-    w.key("entries").value(cache.entries).end();
-    w.key("train").object(true).key("spec").value(tspec.name);
-    w.key("epochs_run").value(outcome.epochs_run);
-    w.key("wall_seconds").raw(num(train_wall));
-    w.key("epoch_seconds_min").raw(num(epoch_hist.min));
-    w.key("epoch_seconds_mean").raw(num(mean(epoch_hist))).end();
-    w.key("sweep").object(true).key("instances").value(sweep_hist.count);
-    w.key("instance_seconds_mean").raw(num(mean(sweep_hist))).end();
-    w.key("dist").object(true).key("jobs").value(report.jobs.size());
-    w.key("attempts").value(report.total_attempts);
-    w.key("job_seconds_total").raw(num(dist_hist.sum));
-    w.key("worker_utilization").raw(num(worker_utilization)).end();
-    // Schema v3: deterministic work counters across every phase — the
-    // hot-path evidence (batched NN passes, skipped queue sorts) that
-    // wall clocks alone cannot attribute.
-    w.key("counters").object(true);
-    for (const char* name :
-         {"nn.forward_calls", "nn.forward_value_calls",
-          "nn.batched_forward_calls", "nn.batched_forward_rows",
-          "nn.backward_calls", "sim.schedule_recomputations",
-          "sim.queue_incremental_inserts", "sim.backfill_decisions"}) {
-      w.key(name).value(obs::counter(name).value());
-    }
-    w.end().end();
-    os << "\n";
-  };
-  if (!obs::write_file(args.out, write_report)) {
-    std::cerr << "rlbf_run bench: cannot write --out=" << args.out << "\n";
-    return 1;
-  }
-
-  std::error_code cleanup_ec;
-  std::filesystem::remove_all(scratch, cleanup_ec);  // best effort
-
-  std::cout << "# bench: sim " << sim_hist.count << "x " << base.name << "@"
-            << args.jobs << ": min " << exp::format_metric(sim_hist.min)
-            << "s, " << exp::format_metric(events_per_second) << " events/s\n"
-            << "# bench: trace cache: " << cache.hits << " hit(s), "
-            << cache.misses << " miss(es)\n"
-            << "# bench: train " << tspec.name << ": " << outcome.epochs_run
-            << " epoch(s), mean " << exp::format_metric(mean(epoch_hist))
-            << "s/epoch\n"
-            << "# bench: dist " << report.jobs.size() << " job(s): "
-            << exp::format_metric(dist_hist.sum) << "s (utilization "
-            << exp::format_metric(worker_utilization) << ")\n"
-            << "# bench report written to " << args.out << "\n";
-  const int obs_rc = args.save_obs();
-  // Gate last, so the fresh report and the obs dumps exist either way;
-  // a regression (exit 3) outranks a failed obs dump (exit 1).
-  if (!args.compare.empty()) {
-    const int compared = bench_compare(args.compare, args.out, args.threshold,
-                                       args.verdict_out);
-    if (compared != 0) return compared;
-  }
-  return obs_rc;
-}
-
 // -------------------------------------------------------------- models
 
 struct ModelsArgs {
@@ -2484,10 +1994,6 @@ const std::vector<Command>& command_table() {
        collect_rollouts},
       {"models", "list and maintain the model store",
        [] { return ModelsArgs{}.make_parser().usage(); }, models},
-      {"bench",
-       "time the sim/train/dist hot paths into a JSON report "
-       "(--compare gates against a baseline)",
-       [] { return BenchArgs{}.make_parser().usage(); }, bench},
       {"profile", "self-time table per span name from a trace file",
        [] { return ProfileArgs{}.make_parser().usage(); }, profile},
       {"curves",
