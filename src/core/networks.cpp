@@ -44,10 +44,15 @@ KernelActorCritic::KernelActorCritic(const ObservationConfig& obs, nn::Mlp polic
   check_dims(value_, obs.value_feature_dim(), 1, "kernel value");
 }
 
-nn::VarPtr KernelActorCritic::policy_logits(const nn::Tensor& policy_obs) const {
+nn::VarPtr KernelActorCritic::policy_logits_batch(
+    const std::vector<const nn::Tensor*>& obs) const {
   // The kernel trick: one matmul applies the same per-job MLP to every
   // row, yielding an N x 1 score column directly.
-  return policy_.forward(nn::constant(policy_obs));
+  std::vector<std::size_t> rows;
+  rows.reserve(obs.size());
+  for (const nn::Tensor* o : obs) rows.push_back(o->rows());
+  return policy_.forward(nn::constant(nn::Tensor::stack_rows(obs)),
+                         nn::make_segments(rows));
 }
 
 nn::VarPtr KernelActorCritic::value(const nn::Tensor& value_obs) const {
@@ -65,20 +70,10 @@ double KernelActorCritic::value_nograd(const nn::Tensor& value_obs) const {
 std::vector<nn::Tensor> KernelActorCritic::policy_logits_nograd_batch(
     const std::vector<const nn::Tensor*>& obs) const {
   if (obs.empty()) return {};
-  std::size_t total_rows = 0;
-  for (const nn::Tensor* o : obs) total_rows += o->rows();
-  nn::Tensor stacked(total_rows, ObservationConfig::kFeatures);
-  std::size_t at = 0;
-  for (const nn::Tensor* o : obs) {
-    std::copy(o->data().begin(), o->data().end(),
-              stacked.data().begin() + static_cast<std::ptrdiff_t>(
-                                           at * ObservationConfig::kFeatures));
-    at += o->rows();
-  }
-  const nn::Tensor scores = policy_.forward_value(stacked);
+  const nn::Tensor scores = policy_.forward_value(nn::Tensor::stack_rows(obs));
   std::vector<nn::Tensor> out;
   out.reserve(obs.size());
-  at = 0;
+  std::size_t at = 0;
   for (const nn::Tensor* o : obs) {
     nn::Tensor piece(o->rows(), 1);
     for (std::size_t r = 0; r < o->rows(); ++r) piece.at(r, 0) = scores.at(at + r, 0);
@@ -132,13 +127,22 @@ FlatActorCritic::FlatActorCritic(const ObservationConfig& obs, nn::Mlp policy,
   check_dims(value_, obs.value_feature_dim(), 1, "flat value");
 }
 
-nn::VarPtr FlatActorCritic::policy_logits(const nn::Tensor& policy_obs) const {
-  if (policy_obs.rows() != obs_.padded_policy_rows()) {
-    throw std::invalid_argument("flat policy: observation must be padded");
+nn::Tensor FlatActorCritic::stack_flat(const std::vector<const nn::Tensor*>& obs) const {
+  const std::size_t flat = obs_.padded_policy_rows() * ObservationConfig::kFeatures;
+  for (const nn::Tensor* o : obs) {
+    if (o->size() != flat) {
+      throw std::invalid_argument("flat policy: observation must be padded");
+    }
   }
-  const nn::VarPtr flat = nn::constant(
-      policy_obs.reshaped(1, policy_obs.rows() * policy_obs.cols()));
-  return nn::reshape(policy_.forward(flat), obs_.padded_policy_rows(), 1);
+  return nn::Tensor::stack_rows(obs).reshaped(obs.size(), flat);
+}
+
+nn::VarPtr FlatActorCritic::policy_logits_batch(
+    const std::vector<const nn::Tensor*>& obs) const {
+  const nn::VarPtr scores = policy_.forward(
+      nn::constant(stack_flat(obs)),
+      nn::make_segments(std::vector<std::size_t>(obs.size(), 1)));
+  return nn::reshape(scores, obs.size() * obs_.padded_policy_rows(), 1);
 }
 
 nn::VarPtr FlatActorCritic::value(const nn::Tensor& value_obs) const {
@@ -158,16 +162,7 @@ double FlatActorCritic::value_nograd(const nn::Tensor& value_obs) const {
 std::vector<nn::Tensor> FlatActorCritic::policy_logits_nograd_batch(
     const std::vector<const nn::Tensor*>& obs) const {
   if (obs.empty()) return {};
-  const std::size_t flat = obs_.padded_policy_rows() * ObservationConfig::kFeatures;
-  nn::Tensor stacked(obs.size(), flat);
-  for (std::size_t i = 0; i < obs.size(); ++i) {
-    if (obs[i]->size() != flat) {
-      throw std::invalid_argument("flat policy: observation must be padded");
-    }
-    std::copy(obs[i]->data().begin(), obs[i]->data().end(),
-              stacked.data().begin() + static_cast<std::ptrdiff_t>(i * flat));
-  }
-  const nn::Tensor scores = policy_.forward_value(stacked);
+  const nn::Tensor scores = policy_.forward_value(stack_flat(obs));
   std::vector<nn::Tensor> out;
   out.reserve(obs.size());
   for (std::size_t i = 0; i < obs.size(); ++i) {

@@ -38,7 +38,10 @@ class KernelActorCritic final : public rl::ActorCritic {
   /// Reconstruct from saved networks (shape-checked).
   KernelActorCritic(const ObservationConfig& obs, nn::Mlp policy, nn::Mlp value);
 
-  nn::VarPtr policy_logits(const nn::Tensor& policy_obs) const override;
+  /// Every observation's job rows stacked into one kernel pass, one
+  /// gradient segment per observation.
+  nn::VarPtr policy_logits_batch(
+      const std::vector<const nn::Tensor*>& obs) const override;
   nn::VarPtr value(const nn::Tensor& value_obs) const override;
   nn::Tensor policy_logits_nograd(const nn::Tensor& policy_obs) const override;
   double value_nograd(const nn::Tensor& value_obs) const override;
@@ -67,7 +70,9 @@ class FlatActorCritic final : public rl::ActorCritic {
                   util::Rng& rng);
   FlatActorCritic(const ObservationConfig& obs, nn::Mlp policy, nn::Mlp value);
 
-  nn::VarPtr policy_logits(const nn::Tensor& policy_obs) const override;
+  /// One flattened row per observation, each its own gradient segment.
+  nn::VarPtr policy_logits_batch(
+      const std::vector<const nn::Tensor*>& obs) const override;
   nn::VarPtr value(const nn::Tensor& value_obs) const override;
   nn::Tensor policy_logits_nograd(const nn::Tensor& policy_obs) const override;
   double value_nograd(const nn::Tensor& value_obs) const override;
@@ -84,6 +89,9 @@ class FlatActorCritic final : public rl::ActorCritic {
   const nn::Mlp& value_net() const { return value_; }
 
  private:
+  /// The padded observations as one flattened row each.
+  nn::Tensor stack_flat(const std::vector<const nn::Tensor*>& obs) const;
+
   ObservationConfig obs_;
   nn::Mlp policy_;  // [max_obsv_size * F, hidden..., max_obsv_size]
   nn::Mlp value_;

@@ -4,17 +4,18 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "obs/metrics.h"
 
 namespace rlbf::nn {
 
-void Variable::accumulate_grad(const Tensor& g) {
-  if (!has_grad()) {
-    grad = Tensor::zeros(value.rows(), value.cols());
-  }
-  grad.add_(g);
+void Variable::accumulate_grad(const Tensor& g) { grad_buffer().add_(g); }
+
+Tensor& Variable::grad_buffer() {
+  if (!has_grad()) grad = Tensor::zeros(value.rows(), value.cols());
+  return grad;
 }
 
 void Variable::zero_grad() {
@@ -29,7 +30,79 @@ VarPtr constant(Tensor value) { return make_var(std::move(value), false); }
 
 VarPtr scalar(double v) { return constant(Tensor::full(1, 1, v)); }
 
+Segments make_segments(const std::vector<std::size_t>& row_counts) {
+  auto offsets = std::make_shared<std::vector<std::size_t>>();
+  offsets->reserve(row_counts.size() + 1);
+  offsets->push_back(0);
+  for (const std::size_t n : row_counts) offsets->push_back(offsets->back() + n);
+  return offsets;
+}
+
 namespace {
+
+/// `segments` over `rows` rows, with null resolved to one segment.
+Segments resolve_segments(const Segments& segments, std::size_t rows, const char* op) {
+  if (segments == nullptr) return make_segments({rows});
+  const std::vector<std::size_t>& off = *segments;
+  if (off.empty() || off.front() != 0 || off.back() != rows ||
+      !std::is_sorted(off.begin(), off.end())) {
+    throw std::invalid_argument(std::string(op) + ": segments do not cover " +
+                                std::to_string(rows) + " rows");
+  }
+  return segments;
+}
+
+/// grad += sum_s a_sᵀ g_s over the row segments. Each segment's product
+/// is formed from zero in row order, skipping zero entries of a as
+/// Tensor::matmul_into does, and only then added to grad: the bytes a
+/// per-segment graph's matmul backward plus accumulate_grad would give.
+void accumulate_segment_products(const Tensor& a, const Tensor& g,
+                                 const std::vector<std::size_t>& off, Tensor& grad) {
+  const std::size_t m = a.cols();
+  const std::size_t n = g.cols();
+  Tensor partial;
+  for (std::size_t s = 0; s + 1 < off.size(); ++s) {
+    if (off[s] == off[s + 1]) continue;
+    // Adding a one-row product straight into grad gives the same bytes
+    // as adding it via a zeroed partial, without the scratch pass.
+    const bool direct = off[s + 1] - off[s] == 1;
+    if (!direct) {
+      if (partial.size() == 0) partial = Tensor::zeros(m, n);
+      else partial.fill(0.0);
+    }
+    double* dst = (direct ? grad : partial).data().data();
+    for (std::size_t r = off[s]; r < off[s + 1]; ++r) {
+      const double* arow = a.data().data() + r * m;
+      const double* grow = g.data().data() + r * n;
+      for (std::size_t i = 0; i < m; ++i) {
+        const double aik = arow[i];
+        if (aik == 0.0) continue;
+        double* drow = dst + i * n;
+        for (std::size_t j = 0; j < n; ++j) drow[j] += aik * grow[j];
+      }
+    }
+    if (!direct) grad.add_(partial);
+  }
+}
+
+/// grad (1 x cols) += each segment's column sum of g, formed from zero
+/// in row order and added segment by segment.
+void accumulate_segment_colsums(const Tensor& g, const std::vector<std::size_t>& off,
+                                Tensor& grad) {
+  const std::size_t n = g.cols();
+  Tensor partial(1, n);
+  for (std::size_t s = 0; s + 1 < off.size(); ++s) {
+    if (off[s] == off[s + 1]) continue;
+    const bool direct = off[s + 1] - off[s] == 1;
+    if (!direct) partial.fill(0.0);
+    double* dst = (direct ? grad : partial).data().data();
+    for (std::size_t r = off[s]; r < off[s + 1]; ++r) {
+      const double* grow = g.data().data() + r * n;
+      for (std::size_t c = 0; c < n; ++c) dst[c] += grow[c];
+    }
+    if (!direct) grad.add_(partial);
+  }
+}
 
 /// Whether gradient needs to flow into `v`'s subgraph.
 bool needs_grad(const VarPtr& v) {
@@ -49,13 +122,15 @@ VarPtr make_op(Tensor value, std::vector<VarPtr> parents, std::function<void()> 
 
 }  // namespace
 
-VarPtr add(const VarPtr& a, const VarPtr& b) {
+VarPtr add(const VarPtr& a, const VarPtr& b, const Segments& segments) {
   const Tensor& av = a->value;
   const Tensor& bv = b->value;
   Tensor out = av;
+  const bool row_broadcast =
+      !bv.same_shape(av) && bv.rows() == 1 && bv.cols() == av.cols();
   if (bv.same_shape(av)) {
     out.add_(bv);
-  } else if (bv.rows() == 1 && bv.cols() == av.cols()) {
+  } else if (row_broadcast) {
     for (std::size_t r = 0; r < av.rows(); ++r) {
       for (std::size_t c = 0; c < av.cols(); ++c) out.at(r, c) += bv.at(0, c);
     }
@@ -66,22 +141,20 @@ VarPtr add(const VarPtr& a, const VarPtr& b) {
     throw std::invalid_argument("add: incompatible shapes " + av.shape_str() + " + " +
                                 bv.shape_str());
   }
+  const Segments segs = row_broadcast ? resolve_segments(segments, av.rows(), "add")
+                                      : nullptr;
   auto result = make_op(std::move(out), {a, b}, nullptr);
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
-  result->backward_fn = [a, b, wr] {
+  result->backward_fn = [a, b, segs, wr] {
     const auto r = wr.lock();
     const Tensor& g = r->grad;
-    a->accumulate_grad(g);
-    const Tensor& bv = b->value;
-    if (bv.same_shape(a->value)) {
+    if (needs_grad(a)) a->accumulate_grad(g);
+    if (!needs_grad(b)) return;
+    if (segs != nullptr) {
+      accumulate_segment_colsums(g, *segs, b->grad_buffer());
+    } else if (b->value.same_shape(a->value)) {
       b->accumulate_grad(g);
-    } else if (bv.rows() == 1 && bv.cols() == g.cols()) {
-      Tensor gb(1, g.cols());
-      for (std::size_t r2 = 0; r2 < g.rows(); ++r2) {
-        for (std::size_t c = 0; c < g.cols(); ++c) gb.at(0, c) += g.at(r2, c);
-      }
-      b->accumulate_grad(gb);
     } else {  // scalar broadcast
       b->accumulate_grad(Tensor::full(1, 1, g.sum()));
     }
@@ -103,12 +176,16 @@ VarPtr mul(const VarPtr& a, const VarPtr& b) {
   std::weak_ptr<Variable> wr = result;
   result->backward_fn = [a, b, wr] {
     const auto r = wr.lock();
-    Tensor ga = r->grad;
-    ga.hadamard_(b->value);
-    a->accumulate_grad(ga);
-    Tensor gb = r->grad;
-    gb.hadamard_(a->value);
-    b->accumulate_grad(gb);
+    if (needs_grad(a)) {
+      Tensor ga = r->grad;
+      ga.hadamard_(b->value);
+      a->accumulate_grad(ga);
+    }
+    if (needs_grad(b)) {
+      Tensor gb = r->grad;
+      gb.hadamard_(a->value);
+      b->accumulate_grad(gb);
+    }
   };
   return result;
 }
@@ -129,22 +206,24 @@ VarPtr mul_scalar(const VarPtr& a, double s) {
 
 VarPtr neg(const VarPtr& a) { return mul_scalar(a, -1.0); }
 
-VarPtr matmul(const VarPtr& a, const VarPtr& b) {
+VarPtr matmul(const VarPtr& a, const VarPtr& b, const Segments& segments) {
   Tensor out;
   Tensor::matmul_into(a->value, b->value, out);
+  const Segments segs = resolve_segments(segments, a->value.rows(), "matmul");
   auto result = make_op(std::move(out), {a, b}, nullptr);
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
-  result->backward_fn = [a, b, wr] {
+  result->backward_fn = [a, b, segs, wr] {
     const auto r = wr.lock();
     const Tensor& g = r->grad;
-    // dA = G * B^T ; dB = A^T * G
-    Tensor ga;
-    Tensor::matmul_into(g, b->value, ga, false, true);
-    a->accumulate_grad(ga);
-    Tensor gb;
-    Tensor::matmul_into(a->value, g, gb, true, false);
-    b->accumulate_grad(gb);
+    // dA = G * B^T ; dB = A^T * G. An operand that needs no gradient (a
+    // layer's constant input) costs nothing.
+    if (needs_grad(a)) {
+      Tensor ga;
+      Tensor::matmul_into(g, b->value, ga, false, true);
+      a->accumulate_grad(ga);
+    }
+    if (needs_grad(b)) accumulate_segment_products(a->value, g, *segs, b->grad_buffer());
   };
   return result;
 }
@@ -249,8 +328,8 @@ VarPtr minimum(const VarPtr& a, const VarPtr& b) {
         gb[i] = r->grad[i];
       }
     }
-    a->accumulate_grad(ga);
-    b->accumulate_grad(gb);
+    if (needs_grad(a)) a->accumulate_grad(ga);
+    if (needs_grad(b)) b->accumulate_grad(gb);
   };
   return result;
 }
@@ -270,6 +349,27 @@ VarPtr pick(const VarPtr& a, std::size_t r, std::size_t c) {
   return result;
 }
 
+VarPtr pick_rows(const VarPtr& a, const std::vector<std::size_t>& rows) {
+  const std::size_t cols = a->value.cols();
+  Tensor out(rows.size(), cols);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    if (rows[k] >= a->value.rows()) throw std::out_of_range("pick_rows: index out of range");
+    for (std::size_t c = 0; c < cols; ++c) out.at(k, c) = a->value.at(rows[k], c);
+  }
+  auto result = make_op(std::move(out), {a}, nullptr);
+  if (result->parents.empty()) return result;
+  std::weak_ptr<Variable> wr = result;
+  result->backward_fn = [a, rows, wr] {
+    const auto r = wr.lock();
+    Tensor g = Tensor::zeros(a->value.rows(), a->value.cols());
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      for (std::size_t c = 0; c < g.cols(); ++c) g.at(rows[k], c) += r->grad.at(k, c);
+    }
+    a->accumulate_grad(g);
+  };
+  return result;
+}
+
 VarPtr reshape(const VarPtr& a, std::size_t rows, std::size_t cols) {
   auto result = make_op(a->value.reshaped(rows, cols), {a}, nullptr);
   if (result->parents.empty()) return result;
@@ -281,72 +381,90 @@ VarPtr reshape(const VarPtr& a, std::size_t rows, std::size_t cols) {
   return result;
 }
 
-VarPtr masked_log_softmax(const VarPtr& logits, const std::vector<std::uint8_t>& mask) {
+VarPtr masked_log_softmax(const VarPtr& logits, const std::vector<std::uint8_t>& mask,
+                          const Segments& segments) {
   const Tensor& z = logits->value;
   if (z.cols() != 1) throw std::invalid_argument("masked_log_softmax: want N x 1");
   if (mask.size() != z.rows()) {
     throw std::invalid_argument("masked_log_softmax: mask size mismatch");
   }
-  // log-sum-exp over valid entries, numerically stabilized.
-  double zmax = -std::numeric_limits<double>::infinity();
-  bool any = false;
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i]) {
-      zmax = std::max(zmax, z.at(i, 0));
-      any = true;
-    }
-  }
-  if (!any) throw std::invalid_argument("masked_log_softmax: all masked");
-  double lse = 0.0;
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i]) lse += std::exp(z.at(i, 0) - zmax);
-  }
-  lse = zmax + std::log(lse);
-
+  const Segments segs = resolve_segments(segments, z.rows(), "masked_log_softmax");
+  const std::vector<std::size_t>& off = *segs;
   Tensor out(z.rows(), 1, kMaskedLogProb);
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i]) out.at(i, 0) = z.at(i, 0) - lse;
+  for (std::size_t s = 0; s + 1 < off.size(); ++s) {
+    // log-sum-exp over the segment's valid entries, numerically stabilized.
+    double zmax = -std::numeric_limits<double>::infinity();
+    bool any = false;
+    for (std::size_t i = off[s]; i < off[s + 1]; ++i) {
+      if (mask[i]) {
+        zmax = std::max(zmax, z.at(i, 0));
+        any = true;
+      }
+    }
+    if (!any) throw std::invalid_argument("masked_log_softmax: all masked");
+    double lse = 0.0;
+    for (std::size_t i = off[s]; i < off[s + 1]; ++i) {
+      if (mask[i]) lse += std::exp(z.at(i, 0) - zmax);
+    }
+    lse = zmax + std::log(lse);
+    for (std::size_t i = off[s]; i < off[s + 1]; ++i) {
+      if (mask[i]) out.at(i, 0) = z.at(i, 0) - lse;
+    }
   }
   auto result = make_op(std::move(out), {logits}, nullptr);
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
-  result->backward_fn = [logits, mask, wr] {
+  result->backward_fn = [logits, mask, segs, wr] {
     const auto r = wr.lock();
-    // d lp_i / d z_j = delta_ij - softmax_j (valid entries only).
-    double gsum = 0.0;
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      if (mask[i]) gsum += r->grad.at(i, 0);
-    }
+    const std::vector<std::size_t>& off = *segs;
     Tensor g = Tensor::zeros(r->value.rows(), 1);
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      if (!mask[i]) continue;
-      const double p = std::exp(r->value.at(i, 0));
-      g.at(i, 0) = r->grad.at(i, 0) - p * gsum;
+    for (std::size_t s = 0; s + 1 < off.size(); ++s) {
+      // d lp_i / d z_j = delta_ij - softmax_j (valid entries only).
+      double gsum = 0.0;
+      for (std::size_t i = off[s]; i < off[s + 1]; ++i) {
+        if (mask[i]) gsum += r->grad.at(i, 0);
+      }
+      for (std::size_t i = off[s]; i < off[s + 1]; ++i) {
+        if (!mask[i]) continue;
+        const double p = std::exp(r->value.at(i, 0));
+        g.at(i, 0) = r->grad.at(i, 0) - p * gsum;
+      }
     }
     logits->accumulate_grad(g);
   };
   return result;
 }
 
-VarPtr masked_entropy(const VarPtr& log_probs, const std::vector<std::uint8_t>& mask) {
+VarPtr masked_entropy(const VarPtr& log_probs, const std::vector<std::uint8_t>& mask,
+                      const Segments& segments) {
   const Tensor& lp = log_probs->value;
   if (lp.cols() != 1 || mask.size() != lp.rows()) {
     throw std::invalid_argument("masked_entropy: bad shapes");
   }
-  double h = 0.0;
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i]) h -= std::exp(lp.at(i, 0)) * lp.at(i, 0);
+  const Segments segs = resolve_segments(segments, lp.rows(), "masked_entropy");
+  const std::vector<std::size_t>& off = *segs;
+  Tensor out(off.size() - 1, 1);
+  for (std::size_t s = 0; s + 1 < off.size(); ++s) {
+    double h = 0.0;
+    for (std::size_t i = off[s]; i < off[s + 1]; ++i) {
+      if (mask[i]) h -= std::exp(lp.at(i, 0)) * lp.at(i, 0);
+    }
+    out.at(s, 0) = h;
   }
-  auto result = make_op(Tensor::full(1, 1, h), {log_probs}, nullptr);
+  auto result = make_op(std::move(out), {log_probs}, nullptr);
   if (result->parents.empty()) return result;
   std::weak_ptr<Variable> wr = result;
-  result->backward_fn = [log_probs, mask, wr] {
-    const double g = wr.lock()->grad[0];
+  result->backward_fn = [log_probs, mask, segs, wr] {
+    const auto r = wr.lock();
+    const std::vector<std::size_t>& off = *segs;
     Tensor out = Tensor::zeros(log_probs->value.rows(), 1);
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      if (!mask[i]) continue;
-      const double lpi = log_probs->value.at(i, 0);
-      out.at(i, 0) = -g * std::exp(lpi) * (lpi + 1.0);
+    for (std::size_t s = 0; s + 1 < off.size(); ++s) {
+      const double g = r->grad.at(s, 0);
+      for (std::size_t i = off[s]; i < off[s + 1]; ++i) {
+        if (!mask[i]) continue;
+        const double lpi = log_probs->value.at(i, 0);
+        out.at(i, 0) = -g * std::exp(lpi) * (lpi + 1.0);
+      }
     }
     log_probs->accumulate_grad(out);
   };

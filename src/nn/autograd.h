@@ -39,6 +39,8 @@ class Variable {
 
   /// Accumulate g into grad (allocating on first use).
   void accumulate_grad(const Tensor& g);
+  /// grad, allocated as zeros on first use (for in-place accumulation).
+  Tensor& grad_buffer();
   bool has_grad() const { return grad.size() == value.size() && grad.size() > 0; }
   void zero_grad();
 };
@@ -49,16 +51,32 @@ VarPtr make_var(Tensor value, bool requires_grad = false);
 VarPtr constant(Tensor value);
 VarPtr scalar(double v);
 
+/// Row offsets {0, e_1, ..., e_S = rows} that cut a stacked batch into S
+/// consecutive row segments, one per stacked item (say, one training
+/// step's candidate rows). Null stands for one segment over every row.
+///
+/// Ops that take segments reduce over rows segment by segment, exactly
+/// as if each segment had been its own graph: a batch of S segments
+/// backpropagated once leaves the same gradient bytes as S one-segment
+/// graphs backpropagated in segment order.
+using Segments = std::shared_ptr<const std::vector<std::size_t>>;
+/// Segments over consecutive runs of the given row counts.
+Segments make_segments(const std::vector<std::size_t>& row_counts);
+
 /// Elementwise a + b. b may also be 1 x cols (row broadcast over a's
-/// rows, the Linear bias case) or 1 x 1 (scalar broadcast).
-VarPtr add(const VarPtr& a, const VarPtr& b);
+/// rows, the Linear bias case) or 1 x 1 (scalar broadcast). A broadcast
+/// row's gradient is summed per segment of a's rows, and each segment's
+/// sum is added to b's gradient in turn.
+VarPtr add(const VarPtr& a, const VarPtr& b, const Segments& segments = nullptr);
 /// a - b (same broadcast rules via add/neg).
 VarPtr sub(const VarPtr& a, const VarPtr& b);
 /// Elementwise product, same shape only.
 VarPtr mul(const VarPtr& a, const VarPtr& b);
 VarPtr mul_scalar(const VarPtr& a, double s);
 VarPtr neg(const VarPtr& a);
-VarPtr matmul(const VarPtr& a, const VarPtr& b);
+/// a x b. b's gradient is aᵀg formed per segment of a's rows, each
+/// segment's product added to b's gradient in turn.
+VarPtr matmul(const VarPtr& a, const VarPtr& b, const Segments& segments = nullptr);
 
 VarPtr relu(const VarPtr& a);
 VarPtr tanh_act(const VarPtr& a);
@@ -80,21 +98,27 @@ VarPtr minimum(const VarPtr& a, const VarPtr& b);
 
 /// Select one element as a 1 x 1 variable.
 VarPtr pick(const VarPtr& a, std::size_t r, std::size_t c);
+/// Select rows (in any order, repeats allowed) as a rows.size() x cols
+/// variable.
+VarPtr pick_rows(const VarPtr& a, const std::vector<std::size_t>& rows);
 /// Copy-reshape (gradient reshapes back).
 VarPtr reshape(const VarPtr& a, std::size_t rows, std::size_t cols);
 
 /// Value used for masked-out logits' log-probabilities.
 inline constexpr double kMaskedLogProb = -1e30;
 
-/// Masked log-softmax over a column vector (N x 1). Entries with
-/// mask[i] == 0 are excluded from the normalization, produce
-/// kMaskedLogProb, and receive zero gradient. At least one entry must
-/// be valid.
-VarPtr masked_log_softmax(const VarPtr& logits, const std::vector<std::uint8_t>& mask);
+/// Masked log-softmax over a column vector (N x 1), normalized within
+/// each segment. Entries with mask[i] == 0 are excluded from the
+/// normalization, produce kMaskedLogProb, and receive zero gradient.
+/// Every segment needs at least one valid entry.
+VarPtr masked_log_softmax(const VarPtr& logits, const std::vector<std::uint8_t>& mask,
+                          const Segments& segments = nullptr);
 
-/// Entropy of the masked categorical given its log-probabilities:
-/// -sum_valid exp(lp) * lp, as a 1 x 1 variable.
-VarPtr masked_entropy(const VarPtr& log_probs, const std::vector<std::uint8_t>& mask);
+/// Entropy of each segment's masked categorical given its
+/// log-probabilities: -sum_valid exp(lp) * lp, as an S x 1 variable
+/// (1 x 1 without segments).
+VarPtr masked_entropy(const VarPtr& log_probs, const std::vector<std::uint8_t>& mask,
+                      const Segments& segments = nullptr);
 
 /// Backpropagate from a scalar (1 x 1) root with seed gradient 1.
 void backward(const VarPtr& root);

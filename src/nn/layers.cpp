@@ -23,7 +23,9 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng
   bias_ = make_var(Tensor::zeros(1, out_), /*requires_grad=*/true);
 }
 
-VarPtr Linear::forward(const VarPtr& x) const { return add(matmul(x, weight_), bias_); }
+VarPtr Linear::forward(const VarPtr& x, const Segments& segments) const {
+  return add(matmul(x, weight_, segments), bias_, segments);
+}
 
 Linear Linear::clone() const {
   Linear copy;
@@ -63,11 +65,11 @@ void count_forward(std::size_t rows, const char* which) {
 
 }  // namespace
 
-VarPtr Mlp::forward(const VarPtr& x) const {
+VarPtr Mlp::forward(const VarPtr& x, const Segments& segments) const {
   if (obs::enabled()) count_forward(x->value.rows(), "graph");
   VarPtr h = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i].forward(h);
+    h = layers_[i].forward(h, segments);
     if (i + 1 < layers_.size()) h = activate(h, act_);
   }
   return h;

@@ -22,8 +22,9 @@ class Linear {
  public:
   Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng);
 
-  /// x: [batch x in] -> [batch x out].
-  VarPtr forward(const VarPtr& x) const;
+  /// x: [batch x in] -> [batch x out]. W and b gradients are summed per
+  /// segment of x's rows (see nn::Segments).
+  VarPtr forward(const VarPtr& x, const Segments& segments = nullptr) const;
 
   std::size_t in_features() const { return in_; }
   std::size_t out_features() const { return out_; }
@@ -52,7 +53,10 @@ class Mlp {
   Mlp(const std::vector<std::size_t>& dims, Activation hidden_activation,
       util::Rng& rng);
 
-  VarPtr forward(const VarPtr& x) const;
+  /// Graph forward. With segments, x stacks several inputs and the
+  /// parameter gradients come out as if each segment had been its own
+  /// forward and backward pass, in segment order (see nn::Segments).
+  VarPtr forward(const VarPtr& x, const Segments& segments = nullptr) const;
   /// Value-only forward (no graph construction) for rollout collection.
   /// `x` may hold any number of rows — the whole batch goes through one
   /// matrix-matrix pass per layer. Bit-identical per row to a

@@ -158,6 +158,22 @@ double Tensor::norm() const {
   return std::sqrt(s);
 }
 
+Tensor Tensor::stack_rows(const std::vector<const Tensor*>& parts) {
+  if (parts.empty()) throw std::invalid_argument("stack_rows: no parts");
+  const std::size_t cols = parts.front()->cols_;
+  std::size_t rows = 0;
+  for (const Tensor* p : parts) {
+    if (p->cols_ != cols) throw std::invalid_argument("stack_rows: column mismatch");
+    rows += p->rows_;
+  }
+  Tensor t;
+  t.rows_ = rows;
+  t.cols_ = cols;
+  t.data_.reserve(rows * cols);
+  for (const Tensor* p : parts) t.data_.insert(t.data_.end(), p->data_.begin(), p->data_.end());
+  return t;
+}
+
 Tensor Tensor::row(std::size_t r) const {
   if (r >= rows_) throw std::out_of_range("Tensor::row");
   Tensor t(1, cols_);

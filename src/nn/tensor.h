@@ -67,6 +67,9 @@ class Tensor {
   /// sqrt(sum of squares).
   double norm() const;
 
+  /// Every part's rows, in order, in one tensor. Parts must share their
+  /// column count; at least one part is required.
+  static Tensor stack_rows(const std::vector<const Tensor*>& parts);
   /// Row `r` as a new 1 x cols tensor.
   Tensor row(std::size_t r) const;
   /// Copy with new shape (rows*cols must match).

@@ -60,6 +60,44 @@ std::size_t argmax_masked(const nn::Tensor& logits,
   return best;
 }
 
+StepPolicyTerms step_policy_terms(const ActorCritic& model,
+                                  const std::vector<Step*>& steps) {
+  std::vector<const nn::Tensor*> obs;
+  std::vector<std::size_t> rows;
+  std::vector<std::size_t> actions;
+  std::vector<std::uint8_t> mask;
+  obs.reserve(steps.size());
+  rows.reserve(steps.size());
+  actions.reserve(steps.size());
+  for (const Step* s : steps) {
+    if (s->action >= s->mask.size()) throw std::out_of_range("step action out of range");
+    obs.push_back(&s->policy_obs);
+    rows.push_back(s->mask.size());
+    actions.push_back(mask.size() + s->action);
+    mask.insert(mask.end(), s->mask.begin(), s->mask.end());
+  }
+  const nn::Segments segments = nn::make_segments(rows);
+  const nn::VarPtr logp_all =
+      nn::masked_log_softmax(model.policy_logits_batch(obs), mask, segments);
+  return {nn::pick_rows(logp_all, actions), nn::masked_entropy(logp_all, mask, segments)};
+}
+
+nn::VarPtr step_value_losses(const ActorCritic& model, const std::vector<Step*>& steps,
+                             double scale) {
+  std::vector<const nn::Tensor*> obs;
+  nn::Tensor returns(steps.size(), 1);
+  obs.reserve(steps.size());
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    obs.push_back(&steps[i]->value_obs);
+    returns.at(i, 0) = steps[i]->ret;
+  }
+  // Forward rows are row-independent, and a critic weight's gradient
+  // sums the rows in step order from zero: on zeroed gradients that is
+  // what one graph per step accumulated.
+  const nn::VarPtr v = model.value(nn::Tensor::stack_rows(obs));
+  return nn::mul_scalar(nn::square(nn::sub(v, nn::constant(std::move(returns)))), scale);
+}
+
 struct Ppo::ShardGrads {
   double loss_sum = 0.0;
   double kl_sum = 0.0;
@@ -87,27 +125,34 @@ Ppo::Ppo(ActorCritic& model, const PpoConfig& config, util::ThreadPool* pool)
 
 void Ppo::policy_shard(const std::vector<Step*>& steps, ActorCritic& replica,
                        ShardGrads& out) const {
-  for (const Step* s : steps) {
-    const nn::VarPtr logits = replica.policy_logits(s->policy_obs);
-    const nn::VarPtr logp_all = nn::masked_log_softmax(logits, s->mask);
-    const nn::VarPtr logp_a = nn::pick(logp_all, s->action, 0);
-    const nn::VarPtr ratio = nn::exp_act(nn::sub(logp_a, nn::scalar(s->log_prob)));
-    const nn::VarPtr surr1 = nn::mul_scalar(ratio, s->advantage);
-    const nn::VarPtr surr2 = nn::mul_scalar(
-        nn::clamp(ratio, 1.0 - config_.clip_ratio, 1.0 + config_.clip_ratio),
-        s->advantage);
-    nn::VarPtr loss = nn::neg(nn::minimum(surr1, surr2));
-    const nn::VarPtr entropy = nn::masked_entropy(logp_all, s->mask);
-    if (config_.entropy_coef > 0.0) {
-      loss = nn::sub(loss, nn::mul_scalar(entropy, config_.entropy_coef));
-    }
-    loss = nn::mul_scalar(loss, out.inv_batch);
-    nn::backward(loss);
+  if (steps.empty()) return;
+  // One policy pass over the whole shard; the per-step loss terms below
+  // are elementwise over the S x 1 step columns.
+  nn::Tensor old_logp(steps.size(), 1);
+  nn::Tensor advantage(steps.size(), 1);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    old_logp.at(i, 0) = steps[i]->log_prob;
+    advantage.at(i, 0) = steps[i]->advantage;
+  }
+  const StepPolicyTerms terms = step_policy_terms(replica, steps);
+  const nn::VarPtr ratio =
+      nn::exp_act(nn::sub(terms.logp_action, nn::constant(std::move(old_logp))));
+  const nn::VarPtr adv = nn::constant(std::move(advantage));
+  const nn::VarPtr surr1 = nn::mul(ratio, adv);
+  const nn::VarPtr surr2 = nn::mul(
+      nn::clamp(ratio, 1.0 - config_.clip_ratio, 1.0 + config_.clip_ratio), adv);
+  nn::VarPtr loss = nn::neg(nn::minimum(surr1, surr2));
+  if (config_.entropy_coef > 0.0) {
+    loss = nn::sub(loss, nn::mul_scalar(terms.entropy, config_.entropy_coef));
+  }
+  loss = nn::mul_scalar(loss, out.inv_batch);
+  nn::backward(nn::sum(loss));
 
-    out.loss_sum += loss->value.item() / out.inv_batch;
-    out.kl_sum += s->log_prob - logp_a->value.item();
-    out.entropy_sum += entropy->value.item();
-    const double r = ratio->value.item();
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    out.loss_sum += loss->value[i] / out.inv_batch;
+    out.kl_sum += steps[i]->log_prob - terms.logp_action->value[i];
+    out.entropy_sum += terms.entropy->value[i];
+    const double r = ratio->value[i];
     if (r < 1.0 - config_.clip_ratio || r > 1.0 + config_.clip_ratio) ++out.clip_count;
     ++out.n;
   }
@@ -116,28 +161,12 @@ void Ppo::policy_shard(const std::vector<Step*>& steps, ActorCritic& replica,
 void Ppo::value_shard(const std::vector<Step*>& steps, ActorCritic& replica,
                       ShardGrads& out) const {
   if (steps.empty()) return;
-  // One batched critic forward for the whole shard instead of a graph
-  // pass per step. This is bit-identical to the historical per-step
-  // loop: forward rows are row-independent; the weight/bias gradient of
-  // a B-row matmul accumulates over rows in exactly the order the
-  // per-step accumulate_grad calls did; and the per-row losses are
-  // extracted and summed below in step order.
-  nn::Tensor stacked(steps.size(), steps.front()->value_obs.cols());
+  const nn::VarPtr loss = step_value_losses(replica, steps, out.inv_batch);
+  nn::backward(nn::sum(loss));
   for (std::size_t i = 0; i < steps.size(); ++i) {
-    const nn::Tensor& o = steps[i]->value_obs;
-    for (std::size_t c = 0; c < o.cols(); ++c) stacked.at(i, c) = o.at(0, c);
-  }
-  const nn::VarPtr v_all = replica.value(stacked);
-  nn::VarPtr total;
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    const nn::VarPtr v = nn::pick(v_all, i, 0);
-    nn::VarPtr loss = nn::square(nn::sub(v, nn::scalar(steps[i]->ret)));
-    loss = nn::mul_scalar(loss, out.inv_batch);
-    out.loss_sum += loss->value.item() / out.inv_batch;
+    out.loss_sum += loss->value[i] / out.inv_batch;
     ++out.n;
-    total = total == nullptr ? loss : nn::add(total, loss);
   }
-  nn::backward(total);
 }
 
 std::vector<Step*> Ppo::sample_minibatch(const std::vector<Step*>& all,
@@ -182,7 +211,6 @@ PpoStats Ppo::update(RolloutBuffer& buffer, util::Rng& rng) {
     ShardGrads total;
     total.inv_batch = 1.0 / static_cast<double>(mb.size());
     if (pool_ == nullptr || replicas_.empty() || mb.size() < 64) {
-      total.inv_batch = 1.0 / static_cast<double>(mb.size());
       if (policy) {
         policy_shard(mb, model_, total);
       } else {

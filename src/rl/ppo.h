@@ -26,7 +26,15 @@ class ActorCritic {
   virtual ~ActorCritic() = default;
 
   /// Logits column (rows x 1) over the observation's rows, as a graph.
-  virtual nn::VarPtr policy_logits(const nn::Tensor& policy_obs) const = 0;
+  nn::VarPtr policy_logits(const nn::Tensor& policy_obs) const {
+    return policy_logits_batch({&policy_obs});
+  }
+  /// Logits of many observations stacked into one column (observation
+  /// i's rows right after observation i-1's), as one graph. Parameter
+  /// gradients from backpropagating it equal, byte for byte, those from
+  /// backpropagating each observation's policy_logits graph in turn.
+  virtual nn::VarPtr policy_logits_batch(
+      const std::vector<const nn::Tensor*>& obs) const = 0;
   /// Critic estimate (1 x 1) of the flattened observation, as a graph.
   virtual nn::VarPtr value(const nn::Tensor& value_obs) const = 0;
 
@@ -62,6 +70,24 @@ CategoricalSample sample_masked(const nn::Tensor& logits,
 /// directly select the job with the highest probability").
 std::size_t argmax_masked(const nn::Tensor& logits,
                           const std::vector<std::uint8_t>& mask);
+
+/// A run of steps' masked categoricals from one batched policy pass:
+/// each step's log-probability of its taken action and its entropy
+/// (S x 1 each). Backpropagating any per-step loss built from them gives
+/// the parameter gradients, byte for byte, of backpropagating every
+/// step's own graph in step order.
+struct StepPolicyTerms {
+  nn::VarPtr logp_action;
+  nn::VarPtr entropy;
+};
+StepPolicyTerms step_policy_terms(const ActorCritic& model,
+                                  const std::vector<Step*>& steps);
+
+/// Each step's critic loss scale * (V(s) - return)^2 (S x 1) from one
+/// batched critic pass. Backpropagated onto zeroed critic gradients it
+/// gives the bytes of one graph per step backpropagated in step order.
+nn::VarPtr step_value_losses(const ActorCritic& model, const std::vector<Step*>& steps,
+                             double scale);
 
 struct PpoConfig {
   /// 1.0 (undiscounted) matches the paper's delayed terminal reward —

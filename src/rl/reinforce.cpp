@@ -6,6 +6,13 @@
 
 namespace rlbf::rl {
 
+namespace {
+
+/// Steps per policy pass in update().
+constexpr std::size_t kStepsPerPass = 128;
+
+}  // namespace
+
 Reinforce::Reinforce(ActorCritic& model, const ReinforceConfig& config)
     : model_(model),
       config_(config),
@@ -42,20 +49,26 @@ ReinforceStats Reinforce::update(RolloutBuffer& buffer, util::Rng& rng) {
   policy_opt_.zero_grad();
   const double inv_n = 1.0 / static_cast<double>(steps.size());
   double loss_sum = 0.0, entropy_sum = 0.0;
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    const Step* s = steps[i];
-    const nn::VarPtr logits = model_.policy_logits(s->policy_obs);
-    const nn::VarPtr logp_all = nn::masked_log_softmax(logits, s->mask);
-    const nn::VarPtr logp_a = nn::pick(logp_all, s->action, 0);
-    nn::VarPtr loss = nn::neg(nn::mul_scalar(logp_a, weights[i]));
-    const nn::VarPtr entropy = nn::masked_entropy(logp_all, s->mask);
+  // One policy pass per chunk of steps bounds the graph's memory; the
+  // gradients accumulate step by step, so the chunking leaves no trace
+  // in the bytes.
+  for (std::size_t begin = 0; begin < steps.size(); begin += kStepsPerPass) {
+    const std::size_t end = std::min(steps.size(), begin + kStepsPerPass);
+    const std::vector<Step*> chunk(steps.begin() + static_cast<std::ptrdiff_t>(begin),
+                                   steps.begin() + static_cast<std::ptrdiff_t>(end));
+    nn::Tensor w(chunk.size(), 1);
+    for (std::size_t i = 0; i < chunk.size(); ++i) w.at(i, 0) = weights[begin + i];
+    const StepPolicyTerms terms = step_policy_terms(model_, chunk);
+    nn::VarPtr loss = nn::neg(nn::mul(terms.logp_action, nn::constant(std::move(w))));
     if (config_.entropy_coef > 0.0) {
-      loss = nn::sub(loss, nn::mul_scalar(entropy, config_.entropy_coef));
+      loss = nn::sub(loss, nn::mul_scalar(terms.entropy, config_.entropy_coef));
     }
     loss = nn::mul_scalar(loss, inv_n);
-    nn::backward(loss);
-    loss_sum += loss->value.item() / inv_n;
-    entropy_sum += entropy->value.item();
+    nn::backward(nn::sum(loss));
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      loss_sum += loss->value[i] / inv_n;
+      entropy_sum += terms.entropy->value[i];
+    }
   }
   policy_opt_.clip_grad_norm(config_.max_grad_norm);
   policy_opt_.step();
@@ -66,9 +79,9 @@ ReinforceStats Reinforce::update(RolloutBuffer& buffer, util::Rng& rng) {
   if (config_.use_baseline) {
     for (std::size_t iter = 0; iter < config_.value_iters; ++iter) {
       // Minibatch sampling mirrors Ppo::sample_minibatch.
-      std::vector<const Step*> mb;
+      std::vector<Step*> mb;
       if (config_.minibatch_size == 0 || steps.size() <= config_.minibatch_size) {
-        mb.assign(steps.begin(), steps.end());
+        mb = steps;
       } else {
         mb.reserve(config_.minibatch_size);
         const auto n = static_cast<std::int64_t>(steps.size());
@@ -78,14 +91,10 @@ ReinforceStats Reinforce::update(RolloutBuffer& buffer, util::Rng& rng) {
       }
       value_opt_.zero_grad();
       const double inv_mb = 1.0 / static_cast<double>(mb.size());
+      const nn::VarPtr loss = step_value_losses(model_, mb, inv_mb);
+      nn::backward(nn::sum(loss));
       double vloss_sum = 0.0;
-      for (const Step* s : mb) {
-        const nn::VarPtr v = model_.value(s->value_obs);
-        nn::VarPtr loss = nn::square(nn::sub(v, nn::scalar(s->ret)));
-        loss = nn::mul_scalar(loss, inv_mb);
-        nn::backward(loss);
-        vloss_sum += loss->value.item() / inv_mb;
-      }
+      for (std::size_t i = 0; i < mb.size(); ++i) vloss_sum += loss->value[i] / inv_mb;
       value_opt_.clip_grad_norm(config_.max_grad_norm);
       value_opt_.step();
       stats.value_loss = vloss_sum * inv_mb;

@@ -1,6 +1,7 @@
 #include "swf/parser.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -25,6 +26,21 @@ void parse_header_line(const std::string& line, std::map<std::string, std::strin
   trim(key);
   trim(value);
   if (!key.empty()) header.emplace(key, value);
+}
+
+/// A MaxProcs/MaxNodes header value: the whole token must be a positive
+/// integer. A numeric prefix ("12x8") would otherwise size the machine
+/// from garbage, and clamp_width would then silently cut wider jobs.
+std::int64_t parse_machine_size(const char* key, const std::string& value,
+                                const std::string& name) {
+  std::int64_t size = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, size);
+  if (ec != std::errc() || ptr != end || size <= 0) {
+    throw std::runtime_error("swf parse error: bad " + std::string(key) +
+                             " header value '" + value + "' in " + name);
+  }
+  return size;
 }
 
 }  // namespace
@@ -77,12 +93,8 @@ ParseResult parse_swf(std::istream& in, const std::string& name, const ParseOpti
   for (const char* key : {"MaxProcs", "MaxNodes"}) {
     auto it = result.header.find(key);
     if (it != result.header.end()) {
-      try {
-        machine_procs = std::stoll(it->second);
-      } catch (const std::exception&) {
-        machine_procs = 0;
-      }
-      if (machine_procs > 0) break;
+      machine_procs = parse_machine_size(key, it->second, name);
+      break;
     }
   }
   if (machine_procs <= 0) {

@@ -34,7 +34,8 @@ struct ParseResult {
 
 /// Parse from a stream. `name` labels the resulting trace. The machine
 /// size comes from the MaxProcs header (falling back to MaxNodes, then to
-/// the widest job). Throws std::runtime_error on malformed job lines.
+/// the widest job). Throws std::runtime_error on malformed job lines and
+/// on a machine-size header that is not a whole positive integer.
 ParseResult parse_swf(std::istream& in, const std::string& name,
                       const ParseOptions& options = {});
 

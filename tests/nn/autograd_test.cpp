@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+
+#include "util/rng.h"
 
 namespace rlbf::nn {
 namespace {
@@ -260,6 +263,93 @@ TEST(Autograd, NoGradThroughConstants) {
   auto y = sum(mul_scalar(c, 3.0));
   backward(y);
   EXPECT_FALSE(c->has_grad());
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Autograd, ConstantOperandsGetNoGradient) {
+  // y = sum(x W + b - C) + sum(L x) with W, b, C and L constants.
+  const auto x = make_var(Tensor{{1.0, 2.0}, {3.0, 4.0}}, true);
+  const auto w = constant(Tensor{{0.5, -1.0}, {2.0, 0.25}});
+  const auto b = constant(Tensor{{0.125, 0.0}});
+  const auto c = constant(Tensor{{1.0, 1.0}, {1.0, 1.0}});
+  const auto l = constant(Tensor{{1.0, 2.0}, {3.0, 4.0}});
+  backward(add(sum(sub(add(matmul(x, w), b), c)), sum(matmul(l, x))));
+  for (const auto& k : {w, b, c, l}) EXPECT_FALSE(k->has_grad());
+  // dy/dx = 1 Wᵀ + Lᵀ 1: row sums of W along each row, column sums of L
+  // down each column.
+  ASSERT_TRUE(x->has_grad());
+  EXPECT_TRUE(same_bytes(x->grad, Tensor{{-0.5 + 4.0, 2.25 + 4.0}, {-0.5 + 6.0, 2.25 + 6.0}}));
+}
+
+TEST(Autograd, SegmentedMatmulAndBiasMatchPerSegmentGraphs) {
+  // Three stacked inputs of 2, 1 and 3 rows through one Linear-shaped
+  // graph must leave the weight and bias gradients of three graphs
+  // backpropagated in turn, byte for byte.
+  util::Rng rng(7);
+  const Tensor w0 = Tensor::randn(3, 2, rng);
+  const Tensor b0 = Tensor::randn(1, 2, rng);
+  const std::vector<std::size_t> rows = {2, 1, 3};
+  std::vector<Tensor> parts;
+  for (const std::size_t r : rows) parts.push_back(Tensor::randn(r, 3, rng));
+  parts[2].at(1, 0) = 0.0;  // exercise the zero skip
+
+  const auto w_ref = make_var(w0, true);
+  const auto b_ref = make_var(b0, true);
+  for (const Tensor& p : parts) {
+    backward(sum(tanh_act(add(matmul(constant(p), w_ref), b_ref))));
+  }
+
+  const auto w = make_var(w0, true);
+  const auto bias = make_var(b0, true);
+  const Segments segs = make_segments(rows);
+  const Tensor stacked = Tensor::stack_rows({&parts[0], &parts[1], &parts[2]});
+  backward(sum(tanh_act(add(matmul(constant(stacked), w, segs), bias, segs))));
+  EXPECT_TRUE(same_bytes(w->grad, w_ref->grad));
+  EXPECT_TRUE(same_bytes(bias->grad, b_ref->grad));
+}
+
+TEST(Autograd, SegmentedSoftmaxAndEntropyMatchPerSegment) {
+  const Tensor z{{0.3}, {-1.2}, {2.0}, {0.7}, {0.1}};
+  const std::vector<std::uint8_t> mask = {1, 0, 1, 1, 1};
+  const Segments segs = make_segments({3, 1, 1});
+  const auto batched = make_var(z, true);
+  const auto lp = masked_log_softmax(batched, mask, segs);
+  const auto h = masked_entropy(lp, mask, segs);
+  ASSERT_EQ(h->value.rows(), 3u);
+  backward(add(sum(h), sum(pick_rows(lp, {0, 3, 4}))));
+
+  const std::vector<std::vector<std::uint8_t>> masks = {{1, 0, 1}, {1}, {1}};
+  std::size_t at = 0;
+  for (std::size_t s = 0; s < 3; ++s) {
+    const std::size_t n = masks[s].size();
+    Tensor piece(n, 1);
+    for (std::size_t i = 0; i < n; ++i) piece.at(i, 0) = z.at(at + i, 0);
+    const auto zs = make_var(piece, true);
+    const auto lps = masked_log_softmax(zs, masks[s]);
+    const auto hs = masked_entropy(lps, masks[s]);
+    EXPECT_TRUE(same_bytes(hs->value, Tensor{{h->value.at(s, 0)}}));
+    backward(add(hs, pick(lps, 0, 0)));
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(same_bytes(Tensor{{lp->value.at(at + i, 0)}}, Tensor{{lps->value.at(i, 0)}}));
+      EXPECT_TRUE(same_bytes(Tensor{{batched->grad.at(at + i, 0)}}, Tensor{{zs->grad.at(i, 0)}}));
+    }
+    at += n;
+  }
+}
+
+TEST(Autograd, SegmentsMustCoverTheRows) {
+  const auto z = make_var(Tensor(4, 1), true);
+  const std::vector<std::uint8_t> mask(4, 1);
+  EXPECT_THROW(masked_log_softmax(z, mask, make_segments({1, 2})), std::invalid_argument);
+  EXPECT_THROW(matmul(z, make_var(Tensor(1, 2), true), make_segments({5})),
+               std::invalid_argument);
+  // A segment without a valid entry has no distribution.
+  EXPECT_THROW(masked_log_softmax(z, {1, 1, 0, 1}, make_segments({2, 1, 1})),
+               std::invalid_argument);
 }
 
 TEST(Autograd, GradAccumulatesAcrossBackwardCalls) {

@@ -23,8 +23,12 @@ class TestActorCritic final : public ActorCritic {
   TestActorCritic(nn::Mlp p, nn::Mlp v)
       : rng_(0), policy_(std::move(p)), value_(std::move(v)) {}
 
-  nn::VarPtr policy_logits(const nn::Tensor& obs) const override {
-    return policy_.forward(nn::constant(obs));
+  nn::VarPtr policy_logits_batch(
+      const std::vector<const nn::Tensor*>& obs) const override {
+    std::vector<std::size_t> rows;
+    for (const nn::Tensor* o : obs) rows.push_back(o->rows());
+    return policy_.forward(nn::constant(nn::Tensor::stack_rows(obs)),
+                           nn::make_segments(rows));
   }
   nn::VarPtr value(const nn::Tensor& obs) const override {
     return value_.forward(nn::constant(obs));

@@ -121,6 +121,26 @@ TEST(Parser, HandlesBlankLinesAndDosEndings) {
   EXPECT_EQ(r.trace.machine_procs(), 8);
 }
 
+TEST(Parser, MachineSizeHeaderMustBeAWholePositiveInteger) {
+  // A numeric prefix used to size the machine ("12x8" -> 12) and
+  // clamp_width then silently cut the 16-wide job down to 12.
+  const std::string job = "1 0 0 10 16 -1 -1 16 20 -1 1 1 1 -1 -1 -1 -1 -1\n";
+  for (const char* key : {"MaxProcs", "MaxNodes"}) {
+    for (const std::string value : {"12x8", "abc", "0", "-4", "", "12 8", "1e3"}) {
+      std::istringstream in("; " + std::string(key) + ": " + value + "\n" + job);
+      try {
+        parse_swf(in, "trace");
+        ADD_FAILURE() << key << " '" << value << "' was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), "swf parse error: bad " + std::string(key) +
+                                             " header value '" + value + "' in trace");
+      }
+    }
+  }
+  std::istringstream in("; MaxNodes: 32\n" + job);
+  EXPECT_EQ(parse_swf(in, "trace").trace.machine_procs(), 32);
+}
+
 TEST(Parser, HeaderEqualsSignStyle) {
   std::istringstream in("; MaxProcs = 31\n");
   const ParseResult r = parse_swf(in, "x");
