@@ -20,6 +20,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "sim/event_sim.h"
 
@@ -46,6 +47,9 @@ class EasyBackfillChooser final : public sim::BackfillChooser {
 
  private:
   BackfillOrder order_;
+  // Candidate positions in re-ranked order, reused across calls; unused
+  // under QueueOrder, which scans the candidates in place.
+  std::vector<std::size_t> ranked_;
 };
 
 }  // namespace rlbf::sched

@@ -42,6 +42,8 @@ class F1Policy final : public sim::PriorityPolicy {
  public:
   double score(const swf::Job& job, std::int64_t now) const override;
   std::string name() const override { return "F1"; }
+  // score = f(request time, width, submit time): no wait term.
+  bool time_invariant() const override { return true; }
 };
 
 /// Construct a policy by its Table-3 name ("FCFS", "SJF", "WFP3", "F1");

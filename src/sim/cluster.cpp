@@ -24,15 +24,15 @@ std::int64_t ClusterState::next_completion_time() const {
   return running_.front().end_time;
 }
 
-std::vector<RunningJob> ClusterState::complete_until(std::int64_t now) {
-  std::vector<RunningJob> done;
+const std::vector<RunningJob>& ClusterState::complete_until(std::int64_t now) {
+  completed_.clear();
   while (!running_.empty() && running_.front().end_time <= now) {
     std::pop_heap(running_.begin(), running_.end(), ByEndTime{});
-    done.push_back(running_.back());
+    completed_.push_back(running_.back());
     running_.pop_back();
-    free_procs_ += done.back().procs;
+    free_procs_ += completed_.back().procs;
   }
-  return done;
+  return completed_;
 }
 
 std::vector<RunningJob> ClusterState::running_jobs() const {

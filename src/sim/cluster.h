@@ -45,8 +45,10 @@ class ClusterState {
   /// Earliest actual completion time; throws if nothing is running.
   std::int64_t next_completion_time() const;
 
-  /// Remove and return all jobs with end_time <= now (ascending order).
-  std::vector<RunningJob> complete_until(std::int64_t now);
+  /// Remove all jobs with end_time <= now and return them (ascending
+  /// order). The result lives in a buffer the cluster reuses: it stays
+  /// valid until the next complete_until call.
+  const std::vector<RunningJob>& complete_until(std::int64_t now);
 
   /// Snapshot of running jobs in heap pop order (ascending end_time,
   /// ties resolved exactly as repeated pops would resolve them).
@@ -72,6 +74,7 @@ class ClusterState {
   // reproduce pop order via sort_heap without draining a copy of the
   // queue element-by-element.
   std::vector<RunningJob> running_;
+  std::vector<RunningJob> completed_;  // complete_until's reused result
 };
 
 }  // namespace rlbf::sim

@@ -55,6 +55,17 @@ Reservation compute_reservation(const ClusterState& cluster, const swf::Trace& t
   throw std::runtime_error("compute_reservation: job never fits machine");
 }
 
+void sort_by_priority(std::vector<std::size_t>& queue, const swf::Trace& trace,
+                      const PriorityPolicy& policy, std::int64_t now,
+                      std::vector<ScoredJob>& keyed) {
+  keyed.clear();
+  for (const std::size_t idx : queue) keyed.push_back({policy.score(trace[idx], now), idx});
+  // A strict total order has one sorted arrangement, so the unstable
+  // sort lands exactly where a stable one would.
+  std::sort(keyed.begin(), keyed.end(), priority_less);
+  for (std::size_t i = 0; i < keyed.size(); ++i) queue[i] = keyed[i].index;
+}
+
 namespace {
 
 class SimRunner {
@@ -118,18 +129,6 @@ class SimRunner {
     obs::counter("sim.jobs_started").add(started_);
   }
 
-  /// Priority comparison at a fixed instant: (score, trace index). The
-  /// index tie-break makes this a strict total order, so any sorted
-  /// arrangement of the queue under it is unique — which is what lets
-  /// sorts be skipped and arrivals be binary-inserted without changing
-  /// a single scheduling decision.
-  bool queue_less(std::size_t a, std::size_t b, std::int64_t now) const {
-    const double sa = policy_.score(trace_[a], now);
-    const double sb = policy_.score(trace_[b], now);
-    if (sa != sb) return sa < sb;
-    return a < b;  // deterministic tie-break: arrival order
-  }
-
   /// True when the queue is already in priority order for time `now`.
   bool queue_sorted_at(std::int64_t now) const {
     return queue_sorted_ && (time_invariant_ || sorted_now_ == now);
@@ -142,10 +141,14 @@ class SimRunner {
       if (queue_sorted_at(now)) {
         // Binary insertion keeps the (unique) sorted order valid; the
         // new arrival has the largest trace index, so lower_bound lands
-        // exactly where a full re-sort would place it.
+        // exactly where a full re-sort would place it. The arrival is
+        // scored once; each probe scores only the queued job it visits.
+        const ScoredJob arrival{policy_.score(trace_[idx], now), idx};
         const auto pos = std::lower_bound(
-            queue_.begin(), queue_.end(), idx,
-            [&](std::size_t a, std::size_t b) { return queue_less(a, b, now); });
+            queue_.begin(), queue_.end(), arrival,
+            [&](std::size_t queued, const ScoredJob& key) {
+              return priority_less({policy_.score(trace_[queued], now), queued}, key);
+            });
         queue_.insert(pos, idx);
         sorted_now_ = now;
         ++queue_inserts_;
@@ -178,19 +181,16 @@ class SimRunner {
   }
 
   /// Bring the queue into priority order for `now`, skipping the sort
-  /// when the current order is provably already correct: the comparator
+  /// when the current order is provably already correct: priority_less
   /// is a strict total order (unique sorted sequence), erasures preserve
   /// sortedness, and arrivals are binary-inserted — so once sorted, the
   /// queue only goes stale when `now` advances under a time-varying
-  /// policy. `now` is constant within one schedule_pass, making the
-  /// old sort-per-iteration fully redundant.
+  /// policy (WFP3). `now` is constant within one schedule_pass, so a
+  /// pass sorts at most once, and a sort scores each queued job once.
   void sort_queue(std::int64_t now) {
     if (queue_sorted_at(now)) return;
     ++queue_sorts_;
-    std::stable_sort(queue_.begin(), queue_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return queue_less(a, b, now);
-                     });
+    sort_by_priority(queue_, trace_, policy_, now, keyed_scratch_);
     queue_sorted_ = true;
     sorted_now_ = now;
   }
@@ -268,6 +268,7 @@ class SimRunner {
   std::int64_t sorted_now_ = std::numeric_limits<std::int64_t>::min();
 
   // Per-decision scratch buffers, reused across the whole run.
+  std::vector<ScoredJob> keyed_scratch_;
   std::vector<std::size_t> candidates_;
   std::vector<RunningJob> running_scratch_;
 

@@ -32,12 +32,35 @@ class PriorityPolicy {
   virtual ~PriorityPolicy() = default;
   virtual double score(const swf::Job& job, std::int64_t now) const = 0;
   virtual std::string name() const = 0;
-  /// True when score() ignores `now` (FCFS, SJF). The simulator then
+  /// True when score() ignores `now` (FCFS, SJF, F1). The simulator then
   /// keeps the queue sorted incrementally — binary-inserting arrivals —
   /// instead of re-sorting at every scheduling pass. Policies whose
-  /// scores drift with time (WFP3, F1) must leave this false.
+  /// scores drift with time (WFP3's wait term) must leave this false.
   virtual bool time_invariant() const { return false; }
 };
+
+/// One queued job keyed for ordering: its base-policy score at a fixed
+/// instant and its trace index.
+struct ScoredJob {
+  double score = 0.0;
+  std::size_t index = 0;
+};
+
+/// Queue priority order: (score, trace index). The index tie-break makes
+/// this a strict total order, so the sorted queue is unique — which is
+/// what lets the simulator skip sorts and binary-insert arrivals without
+/// changing a single scheduling decision. Scores compare with `!=`/`<`,
+/// so WFP3's -0.0 at zero wait ties with +0.0 and falls to the index.
+inline bool priority_less(const ScoredJob& a, const ScoredJob& b) {
+  if (a.score != b.score) return a.score < b.score;
+  return a.index < b.index;  // deterministic tie-break: arrival order
+}
+
+/// Sort `queue` (trace indices) into priority order at `now`, scoring
+/// each job exactly once into the caller-owned `keyed` buffer.
+void sort_by_priority(std::vector<std::size_t>& queue, const swf::Trace& trace,
+                      const PriorityPolicy& policy, std::int64_t now,
+                      std::vector<ScoredJob>& keyed);
 
 /// Source of the runtime estimates schedulers plan with.
 class RuntimeEstimator {

@@ -4,6 +4,7 @@
 
 #include "sched/policies.h"
 #include "sched/runtime_estimator.h"
+#include "util/rng.h"
 
 namespace rlbf::sched {
 namespace {
@@ -116,6 +117,78 @@ TEST(EasyChooser, ShortestFirstReordersCandidates) {
   const auto pick2 = queue_order.choose(ctx);
   ASSERT_TRUE(pick2.has_value());
   EXPECT_EQ(fx.candidates[*pick2], 2u);  // the 50 s job (queue order)
+}
+
+/// A random blocked-head context: a machine partly filled by running
+/// jobs and a shuffled queue of the remaining ones.
+ContextFixture random_fixture(util::Rng& rng) {
+  const std::int64_t machine = rng.uniform_int(8, 64);
+  const auto n = static_cast<std::size_t>(rng.uniform_int(4, 24));
+  std::vector<swf::Job> jobs;
+  for (std::size_t i = 0; i < n; ++i) {
+    jobs.push_back(make_job(static_cast<std::int64_t>(i) + 1, rng.uniform_int(1, 500),
+                            rng.uniform_int(1, machine), rng.uniform_int(0, 100)));
+  }
+  const std::int64_t now = 100;
+  std::vector<std::pair<std::size_t, std::int64_t>> running;
+  std::vector<std::size_t> queue;
+  std::int64_t free = machine;
+  for (const std::size_t i : rng.permutation(n)) {
+    if (rng.bernoulli(0.4) && jobs[i].procs() <= free) {
+      free -= jobs[i].procs();
+      running.emplace_back(i, rng.uniform_int(0, now));
+    } else {
+      queue.push_back(i);
+    }
+  }
+  if (queue.empty()) {
+    queue.push_back(running.back().first);
+    running.pop_back();
+  }
+  return ContextFixture(std::move(jobs), machine, std::move(running), std::move(queue),
+                        now);
+}
+
+TEST(EasyChooser, QueueOrderMatchesLinearAdmissibleScanOnRandomContexts) {
+  // Under QueueOrder the chooser scans the candidates in place; its pick
+  // must be exactly the first admissible candidate in priority order.
+  util::Rng rng(20261018);
+  EasyBackfillChooser easy;  // one chooser across every context, as in a run
+  std::size_t picked = 0, declined = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    ContextFixture fx = random_fixture(rng);
+    if (fx.candidates.empty()) continue;  // the simulator never asks then
+    std::optional<std::size_t> expected;
+    for (std::size_t i = 0; i < fx.candidates.size(); ++i) {
+      const swf::Job& job = fx.trace[fx.candidates[i]];
+      if (EasyBackfillChooser::admissible_with_estimate(job, fx.reservation,
+                                                        fx.est.estimate(job), fx.now_)) {
+        expected = i;
+        break;
+      }
+    }
+    EXPECT_EQ(easy.choose(fx.context()), expected) << "trial " << trial;
+    ++(expected ? picked : declined);
+  }
+  EXPECT_GT(picked, 0u);
+  EXPECT_GT(declined, 0u);
+}
+
+TEST(EasyChooser, RerankingOrdersReuseTheirBufferAcrossContexts) {
+  // The re-ranking orders keep one order buffer across calls; a chooser
+  // reused over contexts of varying size must pick what a fresh one does.
+  for (const BackfillOrder order : {BackfillOrder::ShortestFirst, BackfillOrder::WidestFirst,
+                                    BackfillOrder::NarrowestFirst}) {
+    util::Rng rng(7);
+    EasyBackfillChooser reused(order);
+    for (int trial = 0; trial < 200; ++trial) {
+      ContextFixture fx = random_fixture(rng);
+      if (fx.candidates.empty()) continue;
+      EasyBackfillChooser fresh(order);
+      EXPECT_EQ(reused.choose(fx.context()), fresh.choose(fx.context()))
+          << reused.name() << " trial " << trial;
+    }
+  }
 }
 
 TEST(EasyChooser, NamesReflectOrder) {

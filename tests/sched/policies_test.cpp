@@ -76,6 +76,22 @@ TEST(Policies, F1PrefersSmallShortJobs) {
   EXPECT_LT(p.score(make_job(100, 60, 1), 0), p.score(make_job(100, 86400, 128), 0));
 }
 
+TEST(Policies, F1ScoreIgnoresNow) {
+  // F1 reads only request time, width and submit time, so the simulator
+  // may keep its queue sorted across events: the score must be the same
+  // bits at every instant, not merely close.
+  F1Policy p;
+  EXPECT_TRUE(p.time_invariant());
+  for (const swf::Job& j : {make_job(0, 3600, 8), make_job(1000, 60, 1),
+                            make_job(86400, 1, 128), make_job(7, swf::kUnknown, 3)}) {
+    const double at_submit = p.score(j, j.submit_time);
+    for (const std::int64_t now : {std::int64_t{0}, j.submit_time + 1,
+                                   j.submit_time + 3600, std::int64_t{1} << 40}) {
+      EXPECT_EQ(p.score(j, now), at_submit) << "submit " << j.submit_time << " now " << now;
+    }
+  }
+}
+
 TEST(Policies, MakePolicyKnowsAllTable3Names) {
   for (const auto& name : all_policy_names()) {
     const auto p = make_policy(name);

@@ -75,6 +75,25 @@ TEST(Cluster, CompleteUntilBeforeAnyEndIsEmpty) {
   EXPECT_EQ(c.free_procs(), 12);
 }
 
+TEST(Cluster, SecondCompleteUntilReturnsOnlyItsOwnReleases) {
+  // complete_until reuses one result buffer; a later call must not
+  // report jobs an earlier call already released.
+  ClusterState c(16);
+  c.start(0, 4, 0, 10);
+  c.start(1, 4, 0, 20);
+  c.start(2, 4, 0, 30);
+  c.start(3, 4, 0, 40);
+  ASSERT_EQ(c.complete_until(20).size(), 2u);
+  const auto& second = c.complete_until(30);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].job_index, 2u);
+  EXPECT_TRUE(c.complete_until(35).empty());
+  const auto& last = c.complete_until(40);
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0].job_index, 3u);
+  EXPECT_EQ(c.free_procs(), 16);
+}
+
 TEST(Cluster, ZeroRuntimeJobCompletesImmediately) {
   ClusterState c(4);
   c.start(0, 2, 10, 0);

@@ -1,11 +1,15 @@
 #include "sim/event_sim.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 #include <ostream>
 
 #include "sched/easy_backfill.h"
 #include "sched/policies.h"
 #include "sched/runtime_estimator.h"
+#include "util/rng.h"
 #include "workload/presets.h"
 
 namespace rlbf::sim {
@@ -392,7 +396,7 @@ class ForcedResortPolicy final : public PriorityPolicy {
 TEST(EventSim, IncrementalQueueMatchesFullResortPath) {
   const swf::Trace trace = workload::sdsc_sp2_like(7, 800);
   sched::RequestTimeEstimator est;
-  for (const char* pname : {"FCFS", "SJF"}) {
+  for (const char* pname : {"FCFS", "SJF", "F1"}) {
     const auto policy = sched::make_policy(pname);
     ASSERT_TRUE(policy->time_invariant()) << pname;
     ForcedResortPolicy resort(*policy);
@@ -406,6 +410,71 @@ TEST(EventSim, IncrementalQueueMatchesFullResortPath) {
       EXPECT_EQ(fast[i].backfilled, slow[i].backfilled) << pname << " job " << i;
     }
   }
+}
+
+/// Scores drawn from {-1, -0.0, +0.0, 1} by job width: exact ties, and
+/// signed zeros that `<` must treat as equal.
+class SignedZeroTiePolicy final : public PriorityPolicy {
+ public:
+  double score(const swf::Job& job, std::int64_t /*now*/) const override {
+    static constexpr double kScores[] = {-1.0, -0.0, 0.0, 1.0};
+    return kScores[job.procs() % 4];
+  }
+  std::string name() const override { return "ties"; }
+};
+
+/// The order the simulator used before keyed sorting: a stable sort
+/// whose comparator scores both operands on every comparison.
+std::vector<std::size_t> comparator_sorted(std::vector<std::size_t> queue,
+                                           const swf::Trace& trace,
+                                           const PriorityPolicy& policy, std::int64_t now) {
+  std::stable_sort(queue.begin(), queue.end(), [&](std::size_t a, std::size_t b) {
+    const double sa = policy.score(trace[a], now);
+    const double sb = policy.score(trace[b], now);
+    if (sa != sb) return sa < sb;
+    return a < b;
+  });
+  return queue;
+}
+
+TEST(EventSim, KeyedSortMatchesComparatorStableSort) {
+  util::Rng rng(424242);
+  sched::Wfp3Policy wfp3;
+  SignedZeroTiePolicy ties;
+  std::vector<ScoredJob> keyed;  // reused across calls, as in the simulator
+  std::size_t negative_zeros = 0, positive_zeros = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 60));
+    std::vector<swf::Job> jobs;
+    for (std::size_t i = 0; i < n; ++i) {
+      jobs.push_back(make_job(static_cast<std::int64_t>(i), rng.uniform_int(0, 1000),
+                              rng.uniform_int(1, 5000), rng.uniform_int(1, 16),
+                              rng.uniform_int(1, 5000)));
+    }
+    const swf::Trace trace("t", 16, jobs);
+    // A random subset of the trace in arrival-scrambled order.
+    std::vector<std::size_t> queue;
+    for (const std::size_t i : rng.permutation(n)) {
+      if (rng.bernoulli(0.8)) queue.push_back(i);
+    }
+    // now = 0 puts every WFP3 job at zero wait (all scores -0.0); later
+    // instants mix zero-wait and waiting jobs.
+    const std::int64_t now = trial % 3 == 0 ? 0 : rng.uniform_int(0, 2000);
+    for (const PriorityPolicy* policy : {static_cast<const PriorityPolicy*>(&wfp3),
+                                         static_cast<const PriorityPolicy*>(&ties)}) {
+      for (const std::size_t i : queue) {
+        const double sc = policy->score(trace[i], now);
+        if (sc == 0.0) ++(std::signbit(sc) ? negative_zeros : positive_zeros);
+      }
+      std::vector<std::size_t> sorted = queue;
+      sort_by_priority(sorted, trace, *policy, now, keyed);
+      EXPECT_EQ(sorted, comparator_sorted(queue, trace, *policy, now))
+          << policy->name() << " trial " << trial << " now " << now;
+    }
+  }
+  // The inputs really did mix signed zeros.
+  EXPECT_GT(negative_zeros, 0u);
+  EXPECT_GT(positive_zeros, 0u);
 }
 
 TEST(EventSim, CachedReservationMatchesPlainOverload) {
