@@ -4,12 +4,12 @@
 // averages — Jain's index over per-user mean bounded slowdowns, the
 // max/min spread, and the worst-off users.
 //
-//   ./fairness_report [n_jobs]
+//   ./fairness_report [n_jobs=5000]
 #include <algorithm>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 
+#include "exp/config.h"
 #include "sched/scheduler.h"
 #include "sim/fairness.h"
 #include "util/log.h"
@@ -17,7 +17,11 @@
 
 int main(int argc, char** argv) {
   using namespace rlbf;
-  const std::size_t n_jobs = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 5000;
+  std::size_t n_jobs = 5000;
+  if (argc > 2 || (argc > 1 && (!exp::parse_number(argv[1], &n_jobs) || n_jobs == 0))) {
+    std::cerr << "usage: fairness_report [n_jobs=5000]\n";
+    return 2;
+  }
   util::set_log_level(util::LogLevel::Warn);
 
   const swf::Trace trace = workload::sdsc_sp2_like(/*seed=*/3, n_jobs);

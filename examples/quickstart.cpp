@@ -1,23 +1,25 @@
 // Quickstart: generate a workload, schedule it with FCFS + EASY
 // backfilling, train a small RLBackfilling agent, and compare.
 //
-//   ./quickstart [n_jobs] [epochs]
+//   ./quickstart [n_jobs=3000] [epochs=5]
 //
 // This walks the full public API surface in ~80 lines: workload presets,
 // ConfiguredScheduler, Trainer, and RlBackfillChooser.
-#include <cstdlib>
+#include <exception>
 #include <iostream>
 
 #include "core/rl_backfill.h"
 #include "core/trainer.h"
+#include "exp/config.h"
 #include "sched/scheduler.h"
 #include "util/log.h"
 #include "workload/presets.h"
 
-int main(int argc, char** argv) {
-  using namespace rlbf;
-  const std::size_t n_jobs = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 3000;
-  const std::size_t epochs = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 5;
+namespace {
+
+using namespace rlbf;
+
+int quickstart(std::size_t n_jobs, std::size_t epochs) {
   util::set_log_level(util::LogLevel::Info);
 
   // 1. A synthetic SDSC-SP2-like trace, calibrated to the paper's
@@ -37,8 +39,8 @@ int main(int argc, char** argv) {
             << easy.metrics.utilization << ", backfilled "
             << easy.metrics.backfilled_jobs << " jobs\n";
 
-  // 3. Train RLBackfilling on the same trace (short demo budget; see
-  //    examples/train_agent.cpp for paper-scale training).
+  // 3. Train RLBackfilling on the same trace (short demo budget;
+  //    `rlbf_run train --spec=sdsc-fcfs` trains at paper scale).
   core::TrainerConfig cfg;
   cfg.epochs = epochs;
   cfg.trajectories_per_epoch = 40;
@@ -62,4 +64,22 @@ int main(int argc, char** argv) {
                       easy.metrics.avg_bounded_slowdown;
   std::cout << "RLBackfilling improvement over EASY: " << gain * 100.0 << "%\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::size_t n_jobs = 3000;
+  std::size_t epochs = 5;
+  if (argc > 3 || (argc > 1 && (!exp::parse_number(argv[1], &n_jobs) || n_jobs == 0)) ||
+      (argc > 2 && !exp::parse_number(argv[2], &epochs))) {
+    std::cerr << "usage: quickstart [n_jobs=3000] [epochs=5]\n";
+    return 2;
+  }
+  try {
+    return quickstart(n_jobs, epochs);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

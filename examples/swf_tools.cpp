@@ -10,7 +10,8 @@
 //   ./swf_tools schedule <file.swf> <policy> <backfill> [model.file]
 //       Schedule the trace and print metrics. policy: FCFS|SJF|WFP3|F1;
 //       backfill: none|easy|easy-ar|easy-sjf|easy-bf|easy-wf|cons|slack|
-//       rlbf (rlbf requires a trained model file from train_agent). Set
+//       rlbf (rlbf requires a trained model: `rlbf_run train --spec=...
+//       --store=<store>` prints its <store>/<key>.model path). Set
 //       RLBF_SCHEDULE_CSV=<path> to also dump the per-job schedule.
 //   ./swf_tools scrub <file.swf> <out.swf> [max_per_window=50] [window_s=3600]
 //       Remove single-user submission flurries (archive-style cleaning)
@@ -19,12 +20,12 @@
 //       Schedule and print the per-user fairness report (Jain indices,
 //       spread, worst-off users).
 #include <algorithm>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
-#include <cstdlib>
-
 #include "core/rl_backfill.h"
+#include "exp/config.h"
 #include "sched/scheduler.h"
 #include "sim/fairness.h"
 #include "sim/timeline.h"
@@ -90,7 +91,8 @@ bool run_named(const swf::Trace& trace, const std::string& policy,
                sched::ScheduleOutcome& outcome, std::string& label) {
   if (backfill == "rlbf") {
     if (model_path.empty()) {
-      std::cerr << "rlbf requires a model file (train one with train_agent)\n";
+      std::cerr << "rlbf requires a model file (train one with `rlbf_run train "
+                   "--spec=<spec> --store=<store>`; it prints <store>/<key>.model)\n";
       return false;
     }
     const core::Agent agent = core::Agent::load(model_path);
@@ -209,6 +211,13 @@ int cmd_fairness(const std::string& path, const std::string& policy,
   return 0;
 }
 
+/// Parse the optional numeric argument argv[i] into `out`, keeping its
+/// default when absent; false on anything but a whole number.
+template <typename T>
+bool optional_number(int argc, char** argv, int i, T* out) {
+  return argc <= i || exp::parse_number(argv[i], out);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -217,6 +226,8 @@ int main(int argc, char** argv) {
       "  swf_tools stats <file.swf>\n"
       "  swf_tools generate <preset> <out.swf> [jobs=10000] [seed=1]\n"
       "  swf_tools schedule <file.swf> <policy> <backfill> [model.file]\n"
+      "      (backfill rlbf needs model.file: `rlbf_run train --spec=<spec>\n"
+      "       --store=<store>` prints its <store>/<key>.model path)\n"
       "  swf_tools scrub <file.swf> <out.swf> [max_per_window=50] [window_s=3600]\n"
       "  swf_tools fairness <file.swf> <policy> <backfill>\n";
   if (argc < 2) {
@@ -227,19 +238,23 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "stats" && argc >= 3) return cmd_stats(argv[2]);
     if (cmd == "generate" && argc >= 4) {
-      const std::size_t jobs = argc > 4 ? std::strtoul(argv[4], nullptr, 10) : 10000;
-      const std::uint64_t seed = argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 1;
-      return cmd_generate(argv[2], argv[3], jobs, seed);
+      std::size_t jobs = 10000;
+      std::uint64_t seed = 1;
+      if (optional_number(argc, argv, 4, &jobs) && jobs > 0 &&
+          optional_number(argc, argv, 5, &seed)) {
+        return cmd_generate(argv[2], argv[3], jobs, seed);
+      }
     }
     if (cmd == "schedule" && argc >= 5) {
       return cmd_schedule(argv[2], argv[3], argv[4], argc > 5 ? argv[5] : "");
     }
     if (cmd == "scrub" && argc >= 4) {
-      const std::size_t max_per_window =
-          argc > 4 ? std::strtoul(argv[4], nullptr, 10) : 50;
-      const std::int64_t window_s =
-          argc > 5 ? std::strtoll(argv[5], nullptr, 10) : 3600;
-      return cmd_scrub(argv[2], argv[3], max_per_window, window_s);
+      std::size_t max_per_window = 50;
+      std::int64_t window_s = 3600;
+      if (optional_number(argc, argv, 4, &max_per_window) &&
+          optional_number(argc, argv, 5, &window_s)) {
+        return cmd_scrub(argv[2], argv[3], max_per_window, window_s);
+      }
     }
     if (cmd == "fairness" && argc >= 5) {
       return cmd_fairness(argv[2], argv[3], argv[4]);

@@ -36,16 +36,14 @@ std::vector<std::size_t> ObservationBuilder::observed_queue(
   // value view (value_obsv_size); the simulator invalidates the cache
   // slot before every decision.
   std::vector<std::size_t> q;
-  const std::vector<std::size_t>* cached =
-      ctx.cache != nullptr ? ctx.cache->sorted_queue() : nullptr;
-  if (cached != nullptr) {
+  if (const std::vector<std::size_t>* cached = ctx.cache.sorted_queue()) {
     q = *cached;
   } else {
     q.assign(ctx.queue.begin(), ctx.queue.end());
     std::stable_sort(q.begin(), q.end(), [&](std::size_t a, std::size_t b) {
       return ctx.trace[a].submit_time < ctx.trace[b].submit_time;
     });
-    if (ctx.cache != nullptr) ctx.cache->mutable_sorted_queue() = q;
+    ctx.cache.mutable_sorted_queue() = q;
   }
   if (q.size() > limit) q.resize(limit);
   return q;
@@ -61,22 +59,11 @@ void ObservationBuilder::fill_row(nn::Tensor& obs, std::size_t row,
   // of the job, so the per-simulation cache memoizes them; the cached
   // values are the identical bits the direct computation yields. Both
   // are strictly positive (rt, est >= 1), so < 0 marks an empty slot.
-  const double est = static_cast<double>(
-      ctx.cache != nullptr ? ctx.cache->estimate(ctx.estimator, ctx.trace, job_index)
-                           : ctx.estimator.estimate(job));
-  double log_rt;
-  double log_est;
-  if (ctx.cache != nullptr) {
-    double& rt_slot = ctx.cache->log_request_slot(job_index);
-    if (rt_slot < 0.0) rt_slot = log_scale(rt);
-    log_rt = rt_slot;
-    double& est_slot = ctx.cache->log_estimate_slot(job_index);
-    if (est_slot < 0.0) est_slot = log_scale(est);
-    log_est = est_slot;
-  } else {
-    log_rt = log_scale(rt);
-    log_est = log_scale(est);
-  }
+  const double est = static_cast<double>(sim::context_estimate(ctx, job_index));
+  double& log_rt = ctx.cache.log_request_slot(job_index);
+  if (log_rt < 0.0) log_rt = log_scale(rt);
+  double& log_est = ctx.cache.log_estimate_slot(job_index);
+  if (log_est < 0.0) log_est = log_scale(est);
   const double shadow_gap =
       static_cast<double>(std::max<std::int64_t>(ctx.reservation.shadow_time - ctx.now, 1));
   const double slack = std::clamp((shadow_gap - est) / shadow_gap, -1.0, 1.0);

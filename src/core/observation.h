@@ -113,8 +113,8 @@ class ObservationBuilder {
 
  private:
   /// Queue (indices) sorted by submit time, truncated to `limit`. The
-  /// full sorted order is shared through ctx.cache when present, so the
-  /// policy and value views of one decision sort the queue once.
+  /// full sorted order is shared through ctx.cache, so the policy and
+  /// value views of one decision sort the queue once.
   std::vector<std::size_t> observed_queue(const sim::BackfillContext& ctx,
                                           std::size_t limit) const;
   void fill_row(nn::Tensor& obs, std::size_t row, std::size_t job_index,

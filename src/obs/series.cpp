@@ -236,11 +236,6 @@ SeriesDoc merge_series(const std::vector<LabeledSeries>& docs) {
 
 // ------------------------------------------------------------- sampler
 
-RegistrySampler::RegistrySampler(SeriesRecorder& recorder, Options options)
-    : recorder_(recorder), options_(std::move(options)) {}
-
-RegistrySampler::~RegistrySampler() { stop(); }
-
 void RegistrySampler::sample_once() {
   std::lock_guard<std::mutex> lock(sample_mu_);
   Registry& registry = Registry::instance();
@@ -256,41 +251,11 @@ void RegistrySampler::sample_once() {
     // A registry reset() mid-run restarts the delta from the new value.
     const std::uint64_t delta = value >= last ? value - last : value;
     last = value;
-    recorder_.record(options_.prefix + name, step,
-                     static_cast<double>(delta));
+    recorder_.record("registry." + name, step, static_cast<double>(delta));
   }
   for (const std::string& name : gauges) {
-    recorder_.record(options_.prefix + name, step,
-                     registry.gauge(name).value());
+    recorder_.record("registry." + name, step, registry.gauge(name).value());
   }
-}
-
-void RegistrySampler::start() {
-  if (options_.interval_seconds <= 0.0) return;
-  std::lock_guard<std::mutex> lock(thread_mu_);
-  if (thread_.joinable()) return;
-  stop_requested_ = false;
-  thread_ = std::thread([this] {
-    const auto interval =
-        std::chrono::duration<double>(options_.interval_seconds);
-    std::unique_lock<std::mutex> lock(thread_mu_);
-    while (!cv_.wait_for(lock, interval, [this] { return stop_requested_; })) {
-      lock.unlock();
-      sample_once();
-      lock.lock();
-    }
-  });
-}
-
-void RegistrySampler::stop() {
-  std::thread worker;
-  {
-    std::lock_guard<std::mutex> lock(thread_mu_);
-    stop_requested_ = true;
-    worker = std::move(thread_);
-  }
-  cv_.notify_all();
-  if (worker.joinable()) worker.join();
 }
 
 }  // namespace rlbf::obs

@@ -40,13 +40,11 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace rlbf::obs {
@@ -143,30 +141,19 @@ SeriesDoc merge_series(const std::vector<LabeledSeries>& docs);
 
 // ------------------------------------------------------------- sampler
 
-/// Periodically latches Registry counter/gauge values into series:
-/// counters as per-interval DELTAS (series "<prefix><name>"), gauges as
+/// Latches Registry counter/gauge values into series on each tick:
+/// counters as per-sample DELTAS (series "registry.<name>"), gauges as
 /// instantaneous values. Each sample is keyed by its ordinal (0, 1,
 /// ...) — the sample INDEX is the step; the wall clock rides along as
 /// wall_us only — so two runs registering the same metrics produce
 /// step-aligned series regardless of timing jitter.
 ///
 /// sample_once() is the unit of work and is safe to call from any
-/// thread (an orchestrator heartbeat, a test, the final dump). start()
-/// adds a background thread firing it every interval; stop() (and the
-/// destructor) joins it.
+/// thread (an orchestrator heartbeat, a test, the final dump); there is
+/// no background thread, callers tick it.
 class RegistrySampler {
  public:
-  struct Options {
-    std::string prefix = "registry.";
-    /// Background sampling interval; <= 0 means manual sample_once()
-    /// calls only (start() is then a no-op).
-    double interval_seconds = 0.0;
-  };
-
-  explicit RegistrySampler(SeriesRecorder& recorder)
-      : RegistrySampler(recorder, Options()) {}
-  RegistrySampler(SeriesRecorder& recorder, Options options);
-  ~RegistrySampler();
+  explicit RegistrySampler(SeriesRecorder& recorder) : recorder_(recorder) {}
 
   RegistrySampler(const RegistrySampler&) = delete;
   RegistrySampler& operator=(const RegistrySampler&) = delete;
@@ -179,19 +166,11 @@ class RegistrySampler {
   /// nondeterministic registry data.
   void sample_once();
 
-  void start();
-  void stop();
-
  private:
   SeriesRecorder& recorder_;
-  Options options_;
   std::mutex sample_mu_;
   std::map<std::string, std::uint64_t> last_counters_;
   std::int64_t next_step_ = 0;
-  std::mutex thread_mu_;
-  std::condition_variable cv_;
-  bool stop_requested_ = false;
-  std::thread thread_;
 };
 
 }  // namespace rlbf::obs

@@ -15,12 +15,10 @@ AvailabilityProfile::AvailabilityProfile(std::int64_t now, std::int64_t total)
 AvailabilityProfile AvailabilityProfile::from_cluster(
     const sim::ClusterState& cluster, const swf::Trace& trace,
     const sim::RuntimeEstimator& estimator, std::int64_t now,
-    sim::FeatureCache* cache) {
+    sim::FeatureCache& cache) {
   AvailabilityProfile profile(now, cluster.total_procs());
   for (const auto& r : cluster.running_jobs()) {
-    const std::int64_t est = cache != nullptr
-                                 ? cache->estimate(estimator, trace, r.job_index)
-                                 : estimator.estimate(trace[r.job_index]);
+    const std::int64_t est = cache.estimate(estimator, trace, r.job_index);
     // Snapshot-only estimated view; see sim::estimated_release.
     const std::int64_t est_end = sim::estimated_release(r, est, now);
     profile.reserve(now, r.procs, est_end - now);
@@ -161,11 +159,6 @@ SlackBackfillChooser::SlackBackfillChooser(double slack_factor,
   if (slack_factor < 0.0 || fixed_slack < 0) {
     throw std::invalid_argument("slack backfilling: negative slack");
   }
-}
-
-std::int64_t SlackBackfillChooser::allowance(
-    const swf::Job& job, const sim::RuntimeEstimator& estimator) const {
-  return allowance_from_estimate(estimator.estimate(job));
 }
 
 std::int64_t SlackBackfillChooser::allowance_from_estimate(

@@ -34,12 +34,11 @@ class AvailabilityProfile {
   /// (elapsed estimates clamp to now + 1, as in compute_reservation —
   /// both sites share sim::estimated_release, applied to a snapshot
   /// only; the cluster's actual end times must never be patched).
-  /// `cache` optionally memoizes the runtime estimates.
+  /// Estimates come through `cache`.
   static AvailabilityProfile from_cluster(const sim::ClusterState& cluster,
                                           const swf::Trace& trace,
                                           const sim::RuntimeEstimator& estimator,
-                                          std::int64_t now,
-                                          sim::FeatureCache* cache = nullptr);
+                                          std::int64_t now, sim::FeatureCache& cache);
 
   /// Earliest time >= now at which `procs` processors stay free for
   /// `duration` seconds (non-positive durations count as 1). One forward
@@ -111,10 +110,7 @@ class SlackBackfillChooser final : public sim::BackfillChooser {
   std::optional<std::size_t> choose(const sim::BackfillContext& ctx) override;
   std::string name() const override { return "SLACK"; }
 
-  /// The delay allowance for one job.
-  std::int64_t allowance(const swf::Job& job,
-                         const sim::RuntimeEstimator& estimator) const;
-  /// Allowance from an already-known runtime estimate.
+  /// The delay allowance for a job with this runtime estimate.
   std::int64_t allowance_from_estimate(std::int64_t estimate) const;
 
  private:

@@ -6,13 +6,6 @@ namespace rlbf::sched {
 
 EasyBackfillChooser::EasyBackfillChooser(BackfillOrder order) : order_(order) {}
 
-bool EasyBackfillChooser::admissible(const swf::Job& candidate,
-                                     const sim::Reservation& res,
-                                     const sim::RuntimeEstimator& estimator,
-                                     std::int64_t now) {
-  return admissible_with_estimate(candidate, res, estimator.estimate(candidate), now);
-}
-
 bool EasyBackfillChooser::admissible_with_estimate(const swf::Job& candidate,
                                                    const sim::Reservation& res,
                                                    std::int64_t estimate,

@@ -35,12 +35,9 @@ class EasyBackfillChooser final : public sim::BackfillChooser {
   std::optional<std::size_t> choose(const sim::BackfillContext& ctx) override;
   std::string name() const override;
 
-  /// The EASY admission test for one candidate against a reservation.
-  static bool admissible(const swf::Job& candidate, const sim::Reservation& res,
-                         const sim::RuntimeEstimator& estimator, std::int64_t now);
-
-  /// Same test with the runtime estimate supplied by the caller (hot
-  /// paths pull it from the per-simulation FeatureCache).
+  /// The EASY admission test for one candidate against a reservation,
+  /// given the candidate's runtime estimate (callers pull it from the
+  /// per-simulation FeatureCache, see sim::context_estimate).
   static bool admissible_with_estimate(const swf::Job& candidate,
                                        const sim::Reservation& res,
                                        std::int64_t estimate, std::int64_t now);

@@ -18,8 +18,8 @@ std::int64_t estimated_release(const RunningJob& r, std::int64_t estimate,
 
 Reservation compute_reservation(const ClusterState& cluster, const swf::Trace& trace,
                                 const swf::Job& rjob, const RuntimeEstimator& estimator,
-                                std::int64_t now, FeatureCache* cache,
-                                std::vector<RunningJob>* scratch) {
+                                std::int64_t now, FeatureCache& cache,
+                                std::vector<RunningJob>& scratch) {
   Reservation res;
   const std::int64_t need = rjob.procs();
   std::int64_t free_procs = cluster.free_procs();
@@ -32,18 +32,13 @@ Reservation compute_reservation(const ClusterState& cluster, const swf::Trace& t
   // until the head job fits. The snapshot keeps heap pop order, so the
   // unstable sort below always sees the same input sequence and resolves
   // estimated-end ties identically across calls.
-  std::vector<RunningJob> local;
-  std::vector<RunningJob>& snapshot = scratch != nullptr ? *scratch : local;
-  cluster.running_jobs_into(snapshot);
-  for (auto& r : snapshot) {
-    const std::int64_t est = cache != nullptr
-                                 ? cache->estimate(estimator, trace, r.job_index)
-                                 : estimator.estimate(trace[r.job_index]);
-    r.end_time = estimated_release(r, est, now);
+  cluster.running_jobs_into(scratch);
+  for (auto& r : scratch) {
+    r.end_time = estimated_release(r, cache.estimate(estimator, trace, r.job_index), now);
   }
-  std::sort(snapshot.begin(), snapshot.end(),
+  std::sort(scratch.begin(), scratch.end(),
             [](const RunningJob& a, const RunningJob& b) { return a.end_time < b.end_time; });
-  for (const auto& r : snapshot) {
+  for (const auto& r : scratch) {
     free_procs += r.procs;
     if (free_procs >= need) {
       res.shadow_time = r.end_time;
@@ -230,10 +225,10 @@ class SimRunner {
       }
       if (candidates_.empty()) return;
       const Reservation res = compute_reservation(
-          cluster_, trace_, trace_[rjob], estimator_, now, &cache_, &running_scratch_);
+          cluster_, trace_, trace_[rjob], estimator_, now, cache_, running_scratch_);
       cache_.begin_decision();
       const BackfillContext ctx{trace_, cluster_, estimator_, now,
-                                rjob, res, queue_, candidates_, &cache_};
+                                rjob, res, queue_, candidates_, cache_};
       ++decisions_;
       const auto pick = chooser_->choose(ctx);
       if (!pick.has_value()) return;

@@ -94,11 +94,12 @@ std::int64_t estimated_release(const RunningJob& r, std::int64_t estimate,
 /// runtime estimates (NoisyEstimator rebuilds an RNG per call — the
 /// dominant per-decision cost) and the log-scaled observation features
 /// derived from them, plus the submit-time-sorted queue shared by every
-/// observation built for the same decision. Owned by the simulation run;
-/// choosers reach it through BackfillContext::cache and must also work
-/// when it is null (contexts built outside the simulator, e.g. tests).
-/// Memoization is exact: re-reading a cached value yields the identical
-/// bits the direct computation would.
+/// observation built for the same decision. Owned by the simulation run
+/// (or by whoever else builds a BackfillContext, e.g. a test fixture,
+/// which then calls begin_decision() per context as the simulator does);
+/// choosers reach it through BackfillContext::cache. Memoization is
+/// exact: re-reading a cached value yields the identical bits the direct
+/// computation would.
 class FeatureCache {
  public:
   explicit FeatureCache(std::size_t trace_size)
@@ -142,15 +143,14 @@ class FeatureCache {
 
 /// Compute the reservation for `rjob` against the current running set.
 /// Estimated ends that already elapsed (under-predictions) are treated as
-/// "due now" (clamped to now + 1). The hot path passes a `cache` of
-/// memoized runtime estimates and a caller-owned `scratch` snapshot
-/// buffer; either may be null. The result is bit-identical either way —
-/// the snapshot preserves heap pop order, so the unstable sort over
-/// estimated ends sees the same input sequence.
+/// "due now" (clamped to now + 1). Estimates come through `cache`; the
+/// running-set snapshot is built in the caller-owned `scratch` buffer.
+/// The snapshot preserves heap pop order, so the unstable sort over
+/// estimated ends always sees the same input sequence.
 Reservation compute_reservation(const ClusterState& cluster, const swf::Trace& trace,
                                 const swf::Job& rjob, const RuntimeEstimator& estimator,
-                                std::int64_t now, FeatureCache* cache = nullptr,
-                                std::vector<RunningJob>* scratch = nullptr);
+                                std::int64_t now, FeatureCache& cache,
+                                std::vector<RunningJob>& scratch);
 
 /// Everything a chooser may inspect when picking a backfill candidate.
 struct BackfillContext {
@@ -165,18 +165,14 @@ struct BackfillContext {
   /// Jobs that fit the free processors right now, priority order,
   /// excluding rjob. Never empty when choose() is called.
   const std::vector<std::size_t>& candidates;
-  /// Per-simulation feature memo; null for contexts built outside the
-  /// simulator. Trailing + defaulted so existing aggregate initializers
-  /// keep working.
-  FeatureCache* cache = nullptr;
+  /// Per-simulation feature memo.
+  FeatureCache& cache;
 };
 
 /// Runtime estimate for trace[job_index], memoized through the context's
-/// cache when present.
+/// cache.
 inline std::int64_t context_estimate(const BackfillContext& ctx, std::size_t job_index) {
-  return ctx.cache != nullptr
-             ? ctx.cache->estimate(ctx.estimator, ctx.trace, job_index)
-             : ctx.estimator.estimate(ctx.trace[job_index]);
+  return ctx.cache.estimate(ctx.estimator, ctx.trace, job_index);
 }
 
 /// Strategy consulted at backfilling opportunities.

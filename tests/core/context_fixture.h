@@ -1,6 +1,7 @@
 // Shared helper for core tests: assembles a sim::BackfillContext over an
 // explicit set of running and queued jobs, mirroring what the simulator
-// passes to choosers at a backfilling opportunity.
+// passes to choosers at a backfilling opportunity — including the
+// feature cache, on which every context() starts a new decision.
 #pragma once
 
 #include <utility>
@@ -33,20 +34,23 @@ class ContextFixture {
       : trace("fixture", machine, std::move(jobs)),
         cluster(machine),
         queue(std::move(queue_order)),
-        now(now) {
+        now(now),
+        cache(trace.size()) {
     for (const auto& [idx, start] : running) {
       cluster.start(idx, trace[idx].procs(), start, trace[idx].run_time);
     }
     for (std::size_t i = 1; i < queue.size(); ++i) {
       if (cluster.can_fit(trace[queue[i]].procs())) candidates.push_back(queue[i]);
     }
-    reservation =
-        sim::compute_reservation(cluster, trace, trace[queue[0]], estimator, now);
+    std::vector<sim::RunningJob> scratch;
+    reservation = sim::compute_reservation(cluster, trace, trace[queue[0]], estimator,
+                                           now, cache, scratch);
   }
 
   sim::BackfillContext context() const {
-    return sim::BackfillContext{trace,       cluster, estimator, now,
-                                queue.front(), reservation, queue, candidates};
+    cache.begin_decision();
+    return sim::BackfillContext{trace,       cluster, estimator,  now,  queue.front(),
+                                reservation, queue,   candidates, cache};
   }
 
   swf::Trace trace;
@@ -56,6 +60,8 @@ class ContextFixture {
   std::vector<std::size_t> candidates;
   sim::Reservation reservation;
   std::int64_t now;
+  /// Mutable like any memo: contexts from a const fixture still fill it.
+  mutable sim::FeatureCache cache;
 };
 
 }  // namespace rlbf::core::testing

@@ -35,16 +35,19 @@ struct Scenario {
   std::vector<std::size_t> candidates{2};
   sim::Reservation reservation;
   std::int64_t now = 5;
+  mutable sim::FeatureCache cache{trace.size()};
 
   Scenario() {
     cluster.start(0, 6, 0, 100);
+    std::vector<sim::RunningJob> scratch;
     reservation =
-        sim::compute_reservation(cluster, trace, trace[1], estimator, now);
+        sim::compute_reservation(cluster, trace, trace[1], estimator, now, cache, scratch);
   }
 
   sim::BackfillContext ctx() const {
-    return sim::BackfillContext{trace,       cluster, estimator, now, 1,
-                                reservation, queue,   candidates};
+    cache.begin_decision();
+    return sim::BackfillContext{trace,       cluster, estimator,  now,  1,
+                                reservation, queue,   candidates, cache};
   }
 };
 

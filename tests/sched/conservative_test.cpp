@@ -111,8 +111,9 @@ TEST(Profile, FromClusterUsesEstimatedEnds) {
   sim::ClusterState cluster(8);
   cluster.start(0, 8, 0, 1000);
   RequestTimeEstimator est;
+  sim::FeatureCache cache(trace.size());
   const auto profile =
-      AvailabilityProfile::from_cluster(cluster, trace, est, /*now=*/200);
+      AvailabilityProfile::from_cluster(cluster, trace, est, /*now=*/200, cache);
   // Estimate already elapsed: treated as due at now + 1.
   EXPECT_EQ(profile.free_at(200), 0);
   EXPECT_EQ(profile.free_at(201), 8);
@@ -163,14 +164,8 @@ TEST(Slack, RejectsNegativeParameters) {
 
 TEST(Slack, AllowanceScalesWithEstimate) {
   const SlackBackfillChooser slack(0.5, 600);
-  RequestTimeEstimator est;
-  swf::Job j;
-  j.requested_time = 1000;
-  j.run_time = 1000;
-  j.requested_procs = 1;
-  EXPECT_EQ(slack.allowance(j, est), 600 + 500);
-  j.requested_time = 10000;
-  EXPECT_EQ(slack.allowance(j, est), 600 + 5000);
+  EXPECT_EQ(slack.allowance_from_estimate(1000), 600 + 500);
+  EXPECT_EQ(slack.allowance_from_estimate(10000), 600 + 5000);
 }
 
 TEST(Slack, ZeroSlackEqualsConservative) {

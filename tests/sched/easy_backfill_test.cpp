@@ -19,35 +19,39 @@ swf::Job make_job(std::int64_t id, std::int64_t run, std::int64_t procs,
   return j;
 }
 
+/// The EASY test with the job's actual runtime as its estimate.
+bool admissible(const swf::Job& job, const sim::Reservation& res, std::int64_t now) {
+  return EasyBackfillChooser::admissible_with_estimate(
+      job, res, ActualRuntimeEstimator().estimate(job), now);
+}
+
 TEST(EasyAdmissible, FinishesBeforeShadow) {
-  ActualRuntimeEstimator ar;
   sim::Reservation res{/*shadow_time=*/100, /*extra_procs=*/0};
-  EXPECT_TRUE(EasyBackfillChooser::admissible(make_job(1, 50, 4), res, ar, 40));
-  EXPECT_TRUE(EasyBackfillChooser::admissible(make_job(1, 60, 4), res, ar, 40));
+  EXPECT_TRUE(admissible(make_job(1, 50, 4), res, 40));
+  EXPECT_TRUE(admissible(make_job(1, 60, 4), res, 40));
 }
 
 TEST(EasyAdmissible, RejectedPastShadowWithoutExtraNodes) {
-  ActualRuntimeEstimator ar;
   sim::Reservation res{100, 0};
-  EXPECT_FALSE(EasyBackfillChooser::admissible(make_job(1, 61, 4), res, ar, 40));
+  EXPECT_FALSE(admissible(make_job(1, 61, 4), res, 40));
 }
 
 TEST(EasyAdmissible, ExtraNodesAdmitNarrowOverhang) {
-  ActualRuntimeEstimator ar;
   sim::Reservation res{100, 3};
-  EXPECT_TRUE(EasyBackfillChooser::admissible(make_job(1, 10000, 3), res, ar, 40));
-  EXPECT_FALSE(EasyBackfillChooser::admissible(make_job(1, 10000, 4), res, ar, 40));
+  EXPECT_TRUE(admissible(make_job(1, 10000, 3), res, 40));
+  EXPECT_FALSE(admissible(make_job(1, 10000, 4), res, 40));
 }
 
 TEST(EasyAdmissible, BoundaryExactlyAtShadow) {
-  ActualRuntimeEstimator ar;
   sim::Reservation res{100, 0};
   // now + est == shadow is allowed (finishes exactly at the reservation).
-  EXPECT_TRUE(EasyBackfillChooser::admissible(make_job(1, 100, 2), res, ar, 0));
-  EXPECT_FALSE(EasyBackfillChooser::admissible(make_job(1, 101, 2), res, ar, 0));
+  EXPECT_TRUE(admissible(make_job(1, 100, 2), res, 0));
+  EXPECT_FALSE(admissible(make_job(1, 101, 2), res, 0));
 }
 
-/// Assemble a BackfillContext over explicit running/queued jobs.
+/// Assemble a BackfillContext over explicit running/queued jobs. Like the
+/// simulator, the fixture owns the feature cache and starts a decision on
+/// it for every context.
 struct ContextFixture {
   ContextFixture(std::vector<swf::Job> jobs, std::int64_t machine,
                  std::vector<std::pair<std::size_t, std::int64_t>> running,
@@ -55,6 +59,7 @@ struct ContextFixture {
       : trace("fixture", machine, std::move(jobs)),
         cluster(machine),
         queue(std::move(queue_order)),
+        cache(trace.size()),
         now_(now) {
     for (const auto& [idx, start] : running) {
       cluster.start(idx, trace[idx].procs(), start, trace[idx].run_time);
@@ -62,12 +67,15 @@ struct ContextFixture {
     for (std::size_t i = 1; i < queue.size(); ++i) {
       if (cluster.can_fit(trace[queue[i]].procs())) candidates.push_back(queue[i]);
     }
-    reservation = sim::compute_reservation(cluster, trace, trace[queue[0]], est, now_);
+    std::vector<sim::RunningJob> scratch;
+    reservation =
+        sim::compute_reservation(cluster, trace, trace[queue[0]], est, now_, cache, scratch);
   }
 
   sim::BackfillContext context() {
-    return sim::BackfillContext{trace, cluster,     est,   now_,
-                                queue[0], reservation, queue, candidates};
+    cache.begin_decision();
+    return sim::BackfillContext{trace,       cluster, est,        now_, queue[0],
+                                reservation, queue,   candidates, cache};
   }
 
   swf::Trace trace;
@@ -75,6 +83,7 @@ struct ContextFixture {
   ActualRuntimeEstimator est;
   std::vector<std::size_t> queue;
   std::vector<std::size_t> candidates;
+  sim::FeatureCache cache;
   sim::Reservation reservation;
   std::int64_t now_;
 };

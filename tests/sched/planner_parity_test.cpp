@@ -153,10 +153,8 @@ TEST(PlannerParity, RandomDecisionsAdmitTheSameCandidate) {
         rng.uniform_int(0, 1) == 0 ? static_cast<const sim::RuntimeEstimator&>(request)
                                    : actual;
     sim::FeatureCache cache(d->trace.size());
-    const bool cached = rng.uniform_int(0, 1) == 0;
-    const sim::BackfillContext ctx{d->trace, d->cluster, est, d->now, d->queue.front(),
-                                   {},       d->queue,   d->candidates,
-                                   cached ? &cache : nullptr};
+    const sim::BackfillContext ctx{d->trace, d->cluster, est,           d->now, d->queue.front(),
+                                   {},       d->queue,   d->candidates, cache};
     const std::string what = "decision " + std::to_string(decisions);
 
     ConservativeBackfillChooser cons;

@@ -33,6 +33,15 @@ swf::Job make_job(std::int64_t id, std::int64_t submit, std::int64_t run,
   return j;
 }
 
+/// compute_reservation with a fresh feature cache and snapshot buffer.
+Reservation reservation_for(const ClusterState& cluster, const swf::Trace& t,
+                            const swf::Job& rjob, const RuntimeEstimator& est,
+                            std::int64_t now) {
+  FeatureCache cache(t.size());
+  std::vector<RunningJob> scratch;
+  return compute_reservation(cluster, t, rjob, est, now, cache, scratch);
+}
+
 TEST(EventSim, SingleJobStartsAtSubmit) {
   swf::Trace t("t", 8, {make_job(1, 50, 100, 4)});
   FcfsPolicy fcfs;
@@ -127,7 +136,7 @@ TEST(EventSim, ReservationComputation) {
   cluster.start(1, 3, 0, 200);
   ActualRuntimeEstimator ar;
   const swf::Job rjob = make_job(3, 5, 50, 8);
-  const Reservation res = compute_reservation(cluster, t, rjob, ar, 5);
+  const Reservation res = reservation_for(cluster, t, rjob, ar, 5);
   // free 1; J1 ends 100 -> free 7 < 8; J2 ends 200 -> free 10 >= 8.
   EXPECT_EQ(res.shadow_time, 200);
   EXPECT_EQ(res.extra_procs, 2);
@@ -138,7 +147,7 @@ TEST(EventSim, ReservationImmediateWhenJobFits) {
   ClusterState cluster(10);
   cluster.start(0, 2, 0, 100);
   ActualRuntimeEstimator ar;
-  const Reservation res = compute_reservation(cluster, t, make_job(2, 5, 1, 4), ar, 5);
+  const Reservation res = reservation_for(cluster, t, make_job(2, 5, 1, 4), ar, 5);
   EXPECT_EQ(res.shadow_time, 5);
   EXPECT_EQ(res.extra_procs, 4);
 }
@@ -150,7 +159,7 @@ TEST(EventSim, ReservationClampsElapsedEstimates) {
   ClusterState cluster(4);
   cluster.start(0, 4, 0, 1000);
   sched::RequestTimeEstimator rt;  // estimate 10, elapsed at now=500
-  const Reservation res = compute_reservation(cluster, t, make_job(2, 1, 1, 2), rt, 500);
+  const Reservation res = reservation_for(cluster, t, make_job(2, 1, 1, 2), rt, 500);
   EXPECT_EQ(res.shadow_time, 501);
 }
 
@@ -477,11 +486,11 @@ TEST(EventSim, KeyedSortMatchesComparatorStableSort) {
   EXPECT_GT(positive_zeros, 0u);
 }
 
-TEST(EventSim, CachedReservationMatchesPlainOverload) {
-  // Equal estimated ends exercise the unstable sort's tie behavior; the
-  // cached call (memoized estimates, reused scratch) must resolve them
-  // exactly like cache=nullptr because it feeds the sort the same
-  // pop-order snapshot.
+TEST(EventSim, CachedReservationMatchesDirectEstimates) {
+  // Equal estimated ends exercise the unstable sort's tie behavior. The
+  // cached call (memoized estimates, reused scratch) must match a
+  // reservation walked directly from estimator.estimate(); every running
+  // job is 6 processors wide, so no tie order can change extra_procs.
   swf::Trace t("t", 32,
                {make_job(1, 0, 500, 6, 100), make_job(2, 0, 500, 6, 100),
                 make_job(3, 0, 400, 6, 80), make_job(4, 0, 600, 6, 100),
@@ -491,16 +500,29 @@ TEST(EventSim, CachedReservationMatchesPlainOverload) {
   sched::RequestTimeEstimator est;
   FeatureCache cache(t.size());
   std::vector<RunningJob> scratch;
+  std::vector<std::pair<std::int64_t, std::int64_t>> releases;  // (end, procs)
+  for (const RunningJob& r : cluster.running_jobs()) {
+    releases.emplace_back(estimated_release(r, est.estimate(t[r.job_index]), 10), r.procs);
+  }
+  std::sort(releases.begin(), releases.end());
   for (std::int64_t need = 8; need <= 32; need += 6) {
     const swf::Job rjob = make_job(9, 1, 50, need);
-    const Reservation plain =
-        compute_reservation(cluster, t, rjob, est, 10, /*cache=*/nullptr);
+    Reservation direct;
+    std::int64_t free_procs = cluster.free_procs();
+    for (const auto& [end, procs] : releases) {
+      free_procs += procs;
+      if (free_procs >= need) {
+        direct = {end, free_procs - need};
+        break;
+      }
+    }
+    ASSERT_GT(direct.shadow_time, 10) << "need " << need;
     // Twice through the cache: cold estimates, then memoized.
     for (int pass = 0; pass < 2; ++pass) {
       const Reservation cached =
-          compute_reservation(cluster, t, rjob, est, 10, &cache, &scratch);
-      EXPECT_EQ(cached.shadow_time, plain.shadow_time) << "need " << need;
-      EXPECT_EQ(cached.extra_procs, plain.extra_procs) << "need " << need;
+          compute_reservation(cluster, t, rjob, est, 10, cache, scratch);
+      EXPECT_EQ(cached.shadow_time, direct.shadow_time) << "need " << need;
+      EXPECT_EQ(cached.extra_procs, direct.extra_procs) << "need " << need;
     }
   }
 }
