@@ -36,11 +36,13 @@ Agent::Agent(const AgentConfig& config, std::unique_ptr<rl::ActorCritic> model)
 
 Agent Agent::clone() const { return Agent(config_, model_->clone()); }
 
-std::optional<std::size_t> Agent::choose_greedy(const sim::BackfillContext& ctx) const {
-  const PolicyObservation po = observer_.build_policy(ctx);
+std::optional<std::size_t> Agent::choose_greedy(const sim::BackfillContext& ctx,
+                                                GreedyBuffers& buffers) const {
+  PolicyObservation& po = buffers.obs;
+  observer_.build_policy_into(ctx, po);
   if (!po.any_selectable()) return std::nullopt;
-  const nn::Tensor logits = model_->policy_logits_nograd(po.obs);
-  const std::size_t row = rl::argmax_masked(logits, po.mask);
+  model_->policy_logits_into(po.obs, buffers.logits, buffers.scratch);
+  const std::size_t row = rl::argmax_masked(buffers.logits, po.mask);
   const std::size_t candidate = po.row_to_candidate[row];
   if (candidate == kStopAction) return std::nullopt;
   return candidate;

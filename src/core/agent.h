@@ -13,6 +13,14 @@
 
 namespace rlbf::core {
 
+/// Storage the greedy decision path reuses across decisions: the policy
+/// observation and the forward pass's two buffers. One per chooser.
+struct GreedyBuffers {
+  PolicyObservation obs;
+  nn::Tensor logits;
+  nn::Tensor scratch;
+};
+
 struct AgentConfig {
   ObservationConfig obs;
   NetworkConfig net;
@@ -36,8 +44,11 @@ class Agent {
   Agent clone() const;
 
   /// Greedy action for one backfilling opportunity: index into
-  /// ctx.candidates, or nullopt when every candidate is masked/cut off.
-  std::optional<std::size_t> choose_greedy(const sim::BackfillContext& ctx) const;
+  /// ctx.candidates, or nullopt when every candidate is masked/cut off
+  /// (or the stop row wins). Allocation-free once `buffers` have seen
+  /// the deepest queue.
+  std::optional<std::size_t> choose_greedy(const sim::BackfillContext& ctx,
+                                           GreedyBuffers& buffers) const;
 
   /// Persistence. `meta` is stored verbatim (trace name, epochs, ...).
   bool save(const std::string& path,

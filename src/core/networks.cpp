@@ -59,8 +59,9 @@ nn::VarPtr KernelActorCritic::value(const nn::Tensor& value_obs) const {
   return value_.forward(nn::constant(value_obs));
 }
 
-nn::Tensor KernelActorCritic::policy_logits_nograd(const nn::Tensor& policy_obs) const {
-  return policy_.forward_value(policy_obs);
+void KernelActorCritic::policy_logits_into(const nn::Tensor& policy_obs, nn::Tensor& out,
+                                           nn::Tensor& scratch) const {
+  policy_.forward_value_into(policy_obs, out, scratch);
 }
 
 double KernelActorCritic::value_nograd(const nn::Tensor& value_obs) const {
@@ -149,10 +150,11 @@ nn::VarPtr FlatActorCritic::value(const nn::Tensor& value_obs) const {
   return value_.forward(nn::constant(value_obs));
 }
 
-nn::Tensor FlatActorCritic::policy_logits_nograd(const nn::Tensor& policy_obs) const {
-  const nn::Tensor flat =
-      policy_obs.reshaped(1, policy_obs.rows() * policy_obs.cols());
-  return policy_.forward_value(flat).reshaped(obs_.padded_policy_rows(), 1);
+void FlatActorCritic::policy_logits_into(const nn::Tensor& policy_obs, nn::Tensor& out,
+                                         nn::Tensor& scratch) const {
+  policy_.forward_value_into(nn::MatrixRef{policy_obs.data().data(), 1, policy_obs.size()},
+                             out, scratch);
+  out.reshape_(obs_.padded_policy_rows(), 1);
 }
 
 double FlatActorCritic::value_nograd(const nn::Tensor& value_obs) const {

@@ -43,7 +43,8 @@ class KernelActorCritic final : public rl::ActorCritic {
   nn::VarPtr policy_logits_batch(
       const std::vector<const nn::Tensor*>& obs) const override;
   nn::VarPtr value(const nn::Tensor& value_obs) const override;
-  nn::Tensor policy_logits_nograd(const nn::Tensor& policy_obs) const override;
+  void policy_logits_into(const nn::Tensor& policy_obs, nn::Tensor& out,
+                          nn::Tensor& scratch) const override;
   double value_nograd(const nn::Tensor& value_obs) const override;
   /// Kernel batching: all observations' job rows concatenate into ONE
   /// matrix-matrix forward (the kernel scores rows independently), then
@@ -74,7 +75,10 @@ class FlatActorCritic final : public rl::ActorCritic {
   nn::VarPtr policy_logits_batch(
       const std::vector<const nn::Tensor*>& obs) const override;
   nn::VarPtr value(const nn::Tensor& value_obs) const override;
-  nn::Tensor policy_logits_nograd(const nn::Tensor& policy_obs) const override;
+  /// The padded observation read as one flattened row; `out` is
+  /// reshaped to padded_policy_rows() x 1.
+  void policy_logits_into(const nn::Tensor& policy_obs, nn::Tensor& out,
+                          nn::Tensor& scratch) const override;
   double value_nograd(const nn::Tensor& value_obs) const override;
   /// Flat batching: the padded observations each flatten to one row, so
   /// B observations stack into a B-row matrix for one forward pass.

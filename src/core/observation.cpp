@@ -13,6 +13,27 @@ constexpr double kWeek = 7.0 * 24.0 * 3600.0;
 double log_scale(double seconds) {
   return std::log1p(std::max(seconds, 0.0)) / std::log1p(kWeek);
 }
+
+/// The whole pending queue sorted by submit time (paper §3.2; the
+/// observations cut it off FCFS-style). Sorted once per decision into
+/// ctx.cache, so the policy and value views of one decision share it;
+/// the simulator invalidates the slot before every decision.
+const std::vector<std::size_t>& submit_order(const sim::BackfillContext& ctx) {
+  if (const std::vector<std::size_t>* cached = ctx.cache.sorted_queue()) return *cached;
+  std::vector<std::size_t>& q = ctx.cache.mutable_sorted_queue();
+  // The cache lives for one simulation; sizing it for the whole trace on
+  // its first use keeps a deepening queue from reallocating it.
+  if (q.capacity() < ctx.trace.size()) q.reserve(ctx.trace.size());
+  q.assign(ctx.queue.begin(), ctx.queue.end());
+  const auto by_submit = [&](std::size_t a, std::size_t b) {
+    return ctx.trace[a].submit_time < ctx.trace[b].submit_time;
+  };
+  // A queue already in submit order (FCFS) is its own stable sort.
+  if (!std::is_sorted(q.begin(), q.end(), by_submit)) {
+    std::stable_sort(q.begin(), q.end(), by_submit);
+  }
+  return q;
+}
 }  // namespace
 
 bool PolicyObservation::any_selectable() const {
@@ -28,29 +49,7 @@ ObservationBuilder::ObservationBuilder(const ObservationConfig& config)
   }
 }
 
-std::vector<std::size_t> ObservationBuilder::observed_queue(
-    const sim::BackfillContext& ctx, std::size_t limit) const {
-  // Paper §3.2: sort by submission time; cut off FCFS-style. The sort
-  // always covers the full queue before truncating, so one sorted copy
-  // per decision serves both the policy view (max_obsv_size) and the
-  // value view (value_obsv_size); the simulator invalidates the cache
-  // slot before every decision.
-  std::vector<std::size_t> q;
-  if (const std::vector<std::size_t>* cached = ctx.cache.sorted_queue()) {
-    q = *cached;
-  } else {
-    q.assign(ctx.queue.begin(), ctx.queue.end());
-    std::stable_sort(q.begin(), q.end(), [&](std::size_t a, std::size_t b) {
-      return ctx.trace[a].submit_time < ctx.trace[b].submit_time;
-    });
-    ctx.cache.mutable_sorted_queue() = q;
-  }
-  if (q.size() > limit) q.resize(limit);
-  return q;
-}
-
-void ObservationBuilder::fill_row(nn::Tensor& obs, std::size_t row,
-                                  std::size_t job_index,
+void ObservationBuilder::fill_row(double* row, std::size_t job_index,
                                   const sim::BackfillContext& ctx) const {
   const swf::Job& job = ctx.trace[job_index];
   const double wt = static_cast<double>(std::max<std::int64_t>(ctx.now - job.submit_time, 0));
@@ -67,50 +66,53 @@ void ObservationBuilder::fill_row(nn::Tensor& obs, std::size_t row,
   const double shadow_gap =
       static_cast<double>(std::max<std::int64_t>(ctx.reservation.shadow_time - ctx.now, 1));
   const double slack = std::clamp((shadow_gap - est) / shadow_gap, -1.0, 1.0);
-  obs.at(row, 0) = log_scale(wt);
-  obs.at(row, 1) = log_rt;
-  obs.at(row, 2) = static_cast<double>(job.procs()) /
-                   static_cast<double>(ctx.trace.machine_procs());
-  obs.at(row, 3) = ctx.cluster.can_fit(job.procs()) ? 1.0 : 0.0;
-  obs.at(row, 4) = log_est;
-  obs.at(row, 5) = slack;
-  obs.at(row, 6) = ctx.cluster.free_fraction();
-  obs.at(row, 7) = (job_index == ctx.rjob) ? 1.0 : 0.0;
+  row[0] = log_scale(wt);
+  row[1] = log_rt;
+  row[2] = static_cast<double>(job.procs()) /
+           static_cast<double>(ctx.trace.machine_procs());
+  row[3] = ctx.cluster.can_fit(job.procs()) ? 1.0 : 0.0;
+  row[4] = log_est;
+  row[5] = slack;
+  row[6] = ctx.cluster.free_fraction();
+  row[7] = (job_index == ctx.rjob) ? 1.0 : 0.0;
   const double free_procs =
       std::max(static_cast<double>(ctx.cluster.free_procs()), 1.0);
-  obs.at(row, 9) = std::min(static_cast<double>(job.procs()) / free_procs, 1.0);
+  row[9] = std::min(static_cast<double>(job.procs()) / free_procs, 1.0);
   if (config_.feature_mask != 0x3FF) {
     for (std::size_t f = 0; f < ObservationConfig::kFeatures; ++f) {
-      if (!config_.feature_enabled(f)) obs.at(row, f) = 0.0;
+      if (!config_.feature_enabled(f)) row[f] = 0.0;
     }
   }
 }
 
-PolicyObservation ObservationBuilder::build_policy(const sim::BackfillContext& ctx,
-                                                   bool admissible_only) const {
-  const std::vector<std::size_t> observed = observed_queue(ctx, config_.max_obsv_size);
+void ObservationBuilder::build_policy_into(const sim::BackfillContext& ctx,
+                                           PolicyObservation& po,
+                                           bool admissible_only) const {
+  const std::vector<std::size_t>& queue = submit_order(ctx);
+  const std::size_t observed = std::min(queue.size(), config_.max_obsv_size);
   const std::size_t rows = config_.pad_policy_obs
                                ? config_.padded_policy_rows()
-                               : observed.size() + (config_.stop_action ? 1 : 0);
+                               : observed + (config_.stop_action ? 1 : 0);
+  constexpr std::size_t kF = ObservationConfig::kFeatures;
 
-  PolicyObservation po;
-  po.obs = nn::Tensor::zeros(rows, ObservationConfig::kFeatures);
+  po.obs.assign(rows, kF, 0.0);
   po.mask.assign(rows, 0);
   po.row_to_candidate.assign(rows, kNoCandidate);
+  double* obs = po.obs.data().data();
 
   if (config_.stop_action) {
     // The stop row lives at the fixed last index so the flat (padded)
     // policy sees it at a stable position.
     const std::size_t stop_row = rows - 1;
-    po.obs.at(stop_row, 6) = ctx.cluster.free_fraction();
-    po.obs.at(stop_row, 8) = 1.0;
+    obs[stop_row * kF + 6] = ctx.cluster.free_fraction();
+    obs[stop_row * kF + 8] = 1.0;
     po.mask[stop_row] = 1;
     po.row_to_candidate[stop_row] = kStopAction;
   }
 
-  for (std::size_t r = 0; r < observed.size(); ++r) {
-    const std::size_t job_idx = observed[r];
-    fill_row(po.obs, r, job_idx, ctx);
+  for (std::size_t r = 0; r < observed; ++r) {
+    const std::size_t job_idx = queue[r];
+    fill_row(obs + r * kF, job_idx, ctx);
     if (job_idx == ctx.rjob) continue;  // present but never selectable
     const auto it = std::find(ctx.candidates.begin(), ctx.candidates.end(), job_idx);
     if (it == ctx.candidates.end()) continue;  // does not fit right now
@@ -124,18 +126,23 @@ PolicyObservation ObservationBuilder::build_policy(const sim::BackfillContext& c
     po.row_to_candidate[r] =
         static_cast<std::size_t>(std::distance(ctx.candidates.begin(), it));
   }
+}
+
+PolicyObservation ObservationBuilder::build_policy(const sim::BackfillContext& ctx,
+                                                   bool admissible_only) const {
+  PolicyObservation po;
+  build_policy_into(ctx, po, admissible_only);
   return po;
 }
 
 nn::Tensor ObservationBuilder::build_value(const sim::BackfillContext& ctx) const {
-  const std::vector<std::size_t> observed =
-      observed_queue(ctx, config_.value_obsv_size);
-  nn::Tensor jobs = nn::Tensor::zeros(config_.value_obsv_size,
-                                      ObservationConfig::kFeatures);
-  for (std::size_t r = 0; r < observed.size(); ++r) {
-    fill_row(jobs, r, observed[r], ctx);
+  const std::vector<std::size_t>& queue = submit_order(ctx);
+  const std::size_t observed = std::min(queue.size(), config_.value_obsv_size);
+  nn::Tensor jobs(1, config_.value_feature_dim());
+  for (std::size_t r = 0; r < observed; ++r) {
+    fill_row(jobs.data().data() + r * ObservationConfig::kFeatures, queue[r], ctx);
   }
-  return jobs.reshaped(1, config_.value_feature_dim());
+  return jobs;
 }
 
 }  // namespace rlbf::core

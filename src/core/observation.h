@@ -103,8 +103,13 @@ class ObservationBuilder {
   const ObservationConfig& config() const { return config_; }
 
   /// Build the per-candidate policy observation for one backfilling
-  /// opportunity. With `admissible_only`, the mask additionally requires
-  /// the EASY no-delay test (the hard-masking ablation).
+  /// opportunity into `po`, reusing its buffers: allocation-free once
+  /// they have seen the deepest queue. With `admissible_only`, the mask
+  /// additionally requires the EASY no-delay test (the hard-masking
+  /// ablation).
+  void build_policy_into(const sim::BackfillContext& ctx, PolicyObservation& po,
+                         bool admissible_only = false) const;
+  /// build_policy_into a fresh observation.
   PolicyObservation build_policy(const sim::BackfillContext& ctx,
                                  bool admissible_only = false) const;
 
@@ -112,13 +117,8 @@ class ObservationBuilder {
   nn::Tensor build_value(const sim::BackfillContext& ctx) const;
 
  private:
-  /// Queue (indices) sorted by submit time, truncated to `limit`. The
-  /// full sorted order is shared through ctx.cache, so the policy and
-  /// value views of one decision sort the queue once.
-  std::vector<std::size_t> observed_queue(const sim::BackfillContext& ctx,
-                                          std::size_t limit) const;
-  void fill_row(nn::Tensor& obs, std::size_t row, std::size_t job_index,
-                const sim::BackfillContext& ctx) const;
+  /// Write job `job_index`'s kFeatures features at `row`.
+  void fill_row(double* row, std::size_t job_index, const sim::BackfillContext& ctx) const;
 
   ObservationConfig config_;
 };

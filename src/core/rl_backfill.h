@@ -21,6 +21,7 @@ class RlBackfillChooser final : public sim::BackfillChooser {
  private:
   const Agent& agent_;
   std::string label_;
+  GreedyBuffers buffers_;
 };
 
 }  // namespace rlbf::core

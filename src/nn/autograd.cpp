@@ -52,38 +52,39 @@ Segments resolve_segments(const Segments& segments, std::size_t rows, const char
   return segments;
 }
 
-/// grad += sum_s a_sᵀ g_s over the row segments. Each segment's product
-/// is formed from zero in row order, skipping zero entries of a as
-/// Tensor::matmul_into does, and only then added to grad: the bytes a
-/// per-segment graph's matmul backward plus accumulate_grad would give.
+}  // namespace
+
 void accumulate_segment_products(const Tensor& a, const Tensor& g,
                                  const std::vector<std::size_t>& off, Tensor& grad) {
   const std::size_t m = a.cols();
   const std::size_t n = g.cols();
+  if (g.rows() != a.rows() || grad.rows() != m || grad.cols() != n ||
+      !std::is_sorted(off.begin(), off.end()) || (!off.empty() && off.back() > a.rows())) {
+    throw std::invalid_argument("accumulate_segment_products: shapes " + a.shape_str() +
+                                ", " + g.shape_str() + " into " + grad.shape_str());
+  }
   Tensor partial;
   for (std::size_t s = 0; s + 1 < off.size(); ++s) {
     if (off[s] == off[s + 1]) continue;
+    const std::size_t rows = off[s + 1] - off[s];
+    const MatrixRef a_seg{a.data().data() + off[s] * m, rows, m};
+    const MatrixRef g_seg{g.data().data() + off[s] * n, rows, n};
     // Adding a one-row product straight into grad gives the same bytes
-    // as adding it via a zeroed partial, without the scratch pass.
-    const bool direct = off[s + 1] - off[s] == 1;
-    if (!direct) {
-      if (partial.size() == 0) partial = Tensor::zeros(m, n);
-      else partial.fill(0.0);
+    // as adding it via a partial formed from zero, without the scratch
+    // pass.
+    if (rows == 1) {
+      matmul_kernel(a_seg, g_seg, grad.data().data(), /*trans_a=*/true, false,
+                    /*accumulate=*/true);
+      continue;
     }
-    double* dst = (direct ? grad : partial).data().data();
-    for (std::size_t r = off[s]; r < off[s + 1]; ++r) {
-      const double* arow = a.data().data() + r * m;
-      const double* grow = g.data().data() + r * n;
-      for (std::size_t i = 0; i < m; ++i) {
-        const double aik = arow[i];
-        if (aik == 0.0) continue;
-        double* drow = dst + i * n;
-        for (std::size_t j = 0; j < n; ++j) drow[j] += aik * grow[j];
-      }
-    }
-    if (!direct) grad.add_(partial);
+    if (partial.size() == 0) partial = Tensor::zeros(m, n);
+    matmul_kernel(a_seg, g_seg, partial.data().data(), /*trans_a=*/true, false,
+                  /*accumulate=*/false);
+    grad.add_(partial);
   }
 }
+
+namespace {
 
 /// grad (1 x cols) += each segment's column sum of g, formed from zero
 /// in row order and added segment by segment.

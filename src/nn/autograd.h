@@ -77,6 +77,12 @@ VarPtr neg(const VarPtr& a);
 /// a x b. b's gradient is aᵀg formed per segment of a's rows, each
 /// segment's product added to b's gradient in turn.
 VarPtr matmul(const VarPtr& a, const VarPtr& b, const Segments& segments = nullptr);
+/// matmul's gradient for b: grad += Σ_s a_sᵀ g_s over the row segments
+/// `off` (as make_segments builds them) of a and g. Each segment's product
+/// is formed from zero by matmul_kernel and only then added to grad: the
+/// bytes a per-segment graph's backward plus accumulate_grad would give.
+void accumulate_segment_products(const Tensor& a, const Tensor& g,
+                                 const std::vector<std::size_t>& off, Tensor& grad);
 
 VarPtr relu(const VarPtr& a);
 VarPtr tanh_act(const VarPtr& a);

@@ -81,32 +81,35 @@ Tensor Mlp::forward_value(const Tensor& x) const {
   return out;
 }
 
-void Mlp::forward_value_into(const Tensor& x, Tensor& out, Tensor& scratch) const {
-  if (obs::enabled()) count_forward(x.rows(), "value");
+void Mlp::forward_value_into(MatrixRef x, Tensor& out, Tensor& scratch) const {
+  if (obs::enabled()) count_forward(x.rows, "value");
   // Ping-pong between `out` and `scratch` so a caller-owned pair of
-  // buffers makes the whole pass allocation-free once warmed up. The
-  // arithmetic (matmul, row-broadcast bias, elementwise activation) is
-  // identical to the historical per-call-allocating loop, so results
-  // are bit-for-bit unchanged.
-  const Tensor* h = &x;
+  // buffers makes the whole pass allocation-free once warmed up. Each
+  // element gets its matmul sum, then its bias, then the activation —
+  // the graph forward's operations in its order, so values match it bit
+  // for bit.
+  MatrixRef h = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     // Layers alternate targets; the final layer must land in `out`.
     const bool last = i + 1 == layers_.size();
     const bool to_out = last || (layers_.size() - 1 - i) % 2 == 0;
     Tensor& dst = to_out ? out : scratch;
-    Tensor::matmul_into(*h, layers_[i].weight()->value, dst);
-    const Tensor& b = layers_[i].bias()->value;
-    for (std::size_t r = 0; r < dst.rows(); ++r) {
-      for (std::size_t c = 0; c < dst.cols(); ++c) dst.at(r, c) += b.at(0, c);
-    }
-    if (!last) {
-      for (auto& v : dst.data()) {
-        v = (act_ == Activation::Relu) ? (v > 0.0 ? v : 0.0)
-            : (act_ == Activation::Tanh) ? std::tanh(v)
-                                         : v;
+    Tensor::matmul_into(h, layers_[i].weight()->value, dst);
+    const double* bias = layers_[i].bias()->value.data().data();
+    const std::size_t rows = dst.rows();
+    const std::size_t cols = dst.cols();
+    double* d = dst.data().data();
+    const auto bias_then = [&](auto activation) {
+      for (std::size_t r = 0; r < rows; ++r, d += cols) {
+        for (std::size_t c = 0; c < cols; ++c) d[c] = activation(d[c] + bias[c]);
       }
+    };
+    switch (last ? Activation::None : act_) {
+      case Activation::None: bias_then([](double v) { return v; }); break;
+      case Activation::Relu: bias_then([](double v) { return v > 0.0 ? v : 0.0; }); break;
+      case Activation::Tanh: bias_then([](double v) { return std::tanh(v); }); break;
     }
-    h = &dst;
+    h = dst;
   }
 }
 

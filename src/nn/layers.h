@@ -63,10 +63,10 @@ class Mlp {
   /// row-at-a-time pass (row-independent matmul/bias/activation).
   Tensor forward_value(const Tensor& x) const;
   /// forward_value into caller-owned buffers: `out` receives the result,
-  /// `scratch` holds intermediate activations. Allocation-free once both
-  /// have seen their largest shapes; results are bit-identical to
-  /// forward_value.
-  void forward_value_into(const Tensor& x, Tensor& out, Tensor& scratch) const;
+  /// `scratch` holds intermediate activations; neither may hold `x`.
+  /// Allocation-free once both have seen their largest shapes; results
+  /// are bit-identical to forward_value.
+  void forward_value_into(MatrixRef x, Tensor& out, Tensor& scratch) const;
 
   std::size_t in_features() const;
   std::size_t out_features() const;

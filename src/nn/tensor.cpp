@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace rlbf::nn {
@@ -44,43 +43,132 @@ double Tensor::item() const {
   return data_[0];
 }
 
-void Tensor::matmul_into(const Tensor& a, const Tensor& b, Tensor& out, bool trans_a,
-                         bool trans_b, bool accumulate) {
-  const std::size_t m = trans_a ? a.cols_ : a.rows_;
-  const std::size_t k = trans_a ? a.rows_ : a.cols_;
-  const std::size_t k2 = trans_b ? b.cols_ : b.rows_;
-  const std::size_t n = trans_b ? b.rows_ : b.cols_;
-  if (k != k2) {
-    throw std::invalid_argument("matmul: inner dims " + a.shape_str() + " x " +
-                                b.shape_str());
+namespace {
+
+/// Output columns one row keeps in local accumulators while its k loop
+/// runs: eight doubles fill four SSE2 (two AVX) registers.
+constexpr std::size_t kColumnBlock = 8;
+/// Entries of an A row gathered per pass. Bounds the stack buffers; a
+/// longer row (the flat and value networks' wide inputs) takes several
+/// passes, each resuming from the partial sums stored in the output row.
+constexpr std::size_t kChunk = 64;
+
+/// B(kk, j) of the (possibly transposed) row-major B with `ldb` columns.
+template <bool kTransB>
+inline double b_at(const double* b, std::size_t ldb, std::size_t kk, std::size_t j) {
+  return kTransB ? b[j * ldb + kk] : b[kk * ldb + j];
+}
+
+/// Columns [j0, j0 + width) of one output row: start from the stored
+/// values (`resume`) or +0.0, add val[c] * B(idx[c], j) for c in order,
+/// and store them back.
+template <bool kTransB, std::size_t kWidth>
+inline void row_block(const std::size_t* idx, const double* val, std::size_t count,
+                      const double* b, std::size_t ldb, double* orow, std::size_t j0,
+                      std::size_t width, bool resume) {
+  const std::size_t w = kWidth != 0 ? kWidth : width;
+  double acc[kColumnBlock];
+  for (std::size_t jj = 0; jj < w; ++jj) acc[jj] = resume ? orow[j0 + jj] : 0.0;
+  for (std::size_t c = 0; c < count; ++c) {
+    const double aik = val[c];
+    for (std::size_t jj = 0; jj < w; ++jj) {
+      acc[jj] += aik * b_at<kTransB>(b, ldb, idx[c], j0 + jj);
+    }
   }
-  if (out.rows_ != m || out.cols_ != n) {
-    if (accumulate) throw std::invalid_argument("matmul: bad accumulate shape");
-    // Reshape in place: vector::assign reuses existing capacity, so a
-    // caller cycling one scratch tensor through different layer shapes
-    // stops allocating once the largest shape has been seen.
-    out.rows_ = m;
-    out.cols_ = n;
-    out.data_.assign(m * n, 0.0);
-  } else if (!accumulate) {
-    out.fill(0.0);
+  for (std::size_t jj = 0; jj < w; ++jj) orow[j0 + jj] = acc[jj];
+}
+
+/// Each output row gathers the nonzero entries of its A row (in k
+/// order, a chunk at a time) and then runs every column block over just
+/// those. Skipping aik == 0 is the reference loop's rule; gathering
+/// first applies it once per row without a branch, so the ReLU zeros of
+/// a hidden layer cost neither a mispredicted branch nor a product.
+template <bool kTransB>
+void blocked_matmul(MatrixRef a, bool trans_a, MatrixRef b, double* out, std::size_t m,
+                    std::size_t n, std::size_t k, bool accumulate) {
+  if (k == 0) {
+    if (!accumulate) std::fill(out, out + m * n, 0.0);
+    return;
   }
-  // i-k-j ordering keeps the inner loop streaming over contiguous rows
-  // of B and OUT for the common non-transposed case.
+  // Row i of op(A) starts at a.data + i * a_row and steps by a_step.
+  const std::size_t a_row = trans_a ? 1 : a.cols;
+  const std::size_t a_step = trans_a ? a.cols : 1;
+  std::size_t idx[kChunk];
+  double val[kChunk];
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double aik = trans_a ? a.at(kk, i) : a.at(i, kk);
-      if (aik == 0.0) continue;
-      if (!trans_b) {
-        const double* brow = b.data_.data() + kk * b.cols_;
-        double* orow = out.data_.data() + i * out.cols_;
-        for (std::size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
-      } else {
-        double* orow = out.data_.data() + i * out.cols_;
-        for (std::size_t j = 0; j < n; ++j) orow[j] += aik * b.at(j, kk);
+    const double* arow = a.data + i * a_row;
+    double* orow = out + i * n;
+    for (std::size_t k0 = 0; k0 < k; k0 += kChunk) {
+      const std::size_t k1 = std::min(k, k0 + kChunk);
+      std::size_t count = 0;
+      for (std::size_t kk = k0; kk < k1; ++kk) {
+        const double aik = arow[kk * a_step];
+        idx[count] = kk;
+        val[count] = aik;
+        count += aik != 0.0 ? 1 : 0;
+      }
+      const bool resume = accumulate || k0 > 0;
+      if (n == 1) {
+        // A dot product: one accumulator, the same terms in the same order.
+        double acc = resume ? orow[0] : 0.0;
+        for (std::size_t c = 0; c < count; ++c) {
+          acc += val[c] * b_at<kTransB>(b.data, b.cols, idx[c], 0);
+        }
+        orow[0] = acc;
+        continue;
+      }
+      std::size_t j0 = 0;
+      for (; j0 + kColumnBlock <= n; j0 += kColumnBlock) {
+        row_block<kTransB, kColumnBlock>(idx, val, count, b.data, b.cols, orow, j0,
+                                         kColumnBlock, resume);
+      }
+      if (j0 < n) {
+        row_block<kTransB, 0>(idx, val, count, b.data, b.cols, orow, j0, n - j0, resume);
       }
     }
   }
+}
+
+}  // namespace
+
+void matmul_kernel(MatrixRef a, MatrixRef b, double* out, bool trans_a, bool trans_b,
+                   bool accumulate) {
+  const std::size_t m = trans_a ? a.cols : a.rows;
+  const std::size_t k = trans_a ? a.rows : a.cols;
+  const std::size_t n = trans_b ? b.rows : b.cols;
+  if (trans_b) {
+    blocked_matmul<true>(a, trans_a, b, out, m, n, k, accumulate);
+  } else {
+    blocked_matmul<false>(a, trans_a, b, out, m, n, k, accumulate);
+  }
+}
+
+namespace {
+std::string shape_of(MatrixRef m) {
+  return '[' + std::to_string(m.rows) + 'x' + std::to_string(m.cols) + ']';
+}
+}  // namespace
+
+void Tensor::matmul_into(MatrixRef a, MatrixRef b, Tensor& out, bool trans_a, bool trans_b,
+                         bool accumulate) {
+  const std::size_t m = trans_a ? a.cols : a.rows;
+  const std::size_t k = trans_a ? a.rows : a.cols;
+  const std::size_t k2 = trans_b ? b.cols : b.rows;
+  const std::size_t n = trans_b ? b.rows : b.cols;
+  if (k != k2) {
+    throw std::invalid_argument("matmul: inner dims " + shape_of(a) + " x " + shape_of(b));
+  }
+  if (out.rows_ != m || out.cols_ != n) {
+    if (accumulate) throw std::invalid_argument("matmul: bad accumulate shape");
+    // Reshape in place without clearing: the kernel writes every element
+    // when not accumulating, and vector::resize reuses existing capacity,
+    // so a caller cycling one scratch tensor through different layer
+    // shapes stops allocating once the largest shape has been seen.
+    out.rows_ = m;
+    out.cols_ = n;
+    out.data_.resize(m * n);
+  }
+  matmul_kernel(a, b, out.data_.data(), trans_a, trans_b, accumulate);
 }
 
 Tensor Tensor::matmul(const Tensor& other) const {
@@ -184,13 +272,24 @@ Tensor Tensor::row(std::size_t r) const {
 }
 
 Tensor Tensor::reshaped(std::size_t rows, std::size_t cols) const {
+  Tensor t = *this;
+  t.reshape_(rows, cols);
+  return t;
+}
+
+Tensor& Tensor::reshape_(std::size_t rows, std::size_t cols) {
   if (rows * cols != size()) {
     throw std::invalid_argument("reshape: size mismatch " + shape_str());
   }
-  Tensor t = *this;
-  t.rows_ = rows;
-  t.cols_ = cols;
-  return t;
+  rows_ = rows;
+  cols_ = cols;
+  return *this;
+}
+
+void Tensor::assign(std::size_t rows, std::size_t cols, double v) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, v);
 }
 
 double Tensor::max_abs_diff(const Tensor& a, const Tensor& b) {
@@ -202,10 +301,6 @@ double Tensor::max_abs_diff(const Tensor& a, const Tensor& b) {
   return m;
 }
 
-std::string Tensor::shape_str() const {
-  std::ostringstream os;
-  os << '[' << rows_ << 'x' << cols_ << ']';
-  return os.str();
-}
+std::string Tensor::shape_str() const { return shape_of(*this); }
 
 }  // namespace rlbf::nn

@@ -1,8 +1,12 @@
 // Dense row-major 2-D tensor of doubles — the numeric substrate for the
-// autograd library. Networks in this project are tiny (a kernel MLP that
-// scores one job vector at a time), so clarity and testability win over
-// raw throughput; the matmul kernel still uses a cache-friendly i-k-j
-// loop so PPO updates stay fast enough to train in seconds.
+// autograd library. Networks in this project are small (the kernel MLP
+// scores a few dozen job vectors per decision; PPO updates push minibatch
+// stacks of them through the same layers), so the work is dense small
+// matmuls and one kernel does all of them: each output row gathers the
+// nonzero entries of its A row, then keeps a block of columns in local
+// accumulators while it runs over them. Results are bit-identical to the
+// plain i-k-j loop: every output element receives the same products in
+// the same k order.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +17,22 @@
 #include "util/rng.h"
 
 namespace rlbf::nn {
+
+/// Read-only view of a row-major rows x cols matrix in borrowed storage.
+struct MatrixRef {
+  const double* data = nullptr;
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+};
+
+/// The matmul kernel: out (+)= op(A) op(B), out being the m x n
+/// row-major result at `out`. Shapes are the caller's to check
+/// (Tensor::matmul_into does). Each element starts from its stored value
+/// (accumulate) or +0.0 and adds aik * bkj in increasing k, skipping
+/// aik == 0: so 0 * inf never reaches the result and a -0.0 already in
+/// `out` survives an accumulate that adds only skipped terms.
+void matmul_kernel(MatrixRef a, MatrixRef b, double* out, bool trans_a, bool trans_b,
+                   bool accumulate);
 
 class Tensor {
  public:
@@ -47,10 +67,14 @@ class Tensor {
 
   // ---- value-level math (no autograd; used by op backward passes) ----
 
-  /// out (+)= op(A, B) with optional transposes; shapes must agree.
-  static void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
-                          bool trans_a = false, bool trans_b = false,
-                          bool accumulate = false);
+  /// Read-only view of this tensor's storage; valid until it is resized.
+  operator MatrixRef() const { return {data_.data(), rows_, cols_}; }
+
+  /// out (+)= op(A, B) with optional transposes, through matmul_kernel;
+  /// inner dimensions must agree. Without accumulate, `out` is reshaped
+  /// to fit, reusing its capacity. `out` must not share storage with A or B.
+  static void matmul_into(MatrixRef a, MatrixRef b, Tensor& out, bool trans_a = false,
+                          bool trans_b = false, bool accumulate = false);
   Tensor matmul(const Tensor& other) const;
   Tensor transpose() const;
 
@@ -74,6 +98,10 @@ class Tensor {
   Tensor row(std::size_t r) const;
   /// Copy with new shape (rows*cols must match).
   Tensor reshaped(std::size_t rows, std::size_t cols) const;
+  /// In-place reshape (rows*cols must match); the elements stay as they are.
+  Tensor& reshape_(std::size_t rows, std::size_t cols);
+  /// Become rows x cols with every element `v`, reusing capacity.
+  void assign(std::size_t rows, std::size_t cols, double v);
 
   bool operator==(const Tensor& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_ && data_ == o.data_;

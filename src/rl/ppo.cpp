@@ -2,9 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace rlbf::rl {
+
+nn::Tensor ActorCritic::policy_logits_nograd(const nn::Tensor& policy_obs) const {
+  nn::Tensor out;
+  nn::Tensor scratch;
+  policy_logits_into(policy_obs, out, scratch);
+  return out;
+}
 
 std::vector<nn::Tensor> ActorCritic::policy_logits_nograd_batch(
     const std::vector<const nn::Tensor*>& obs) const {
@@ -47,15 +56,22 @@ std::size_t argmax_masked(const nn::Tensor& logits,
     throw std::invalid_argument("argmax_masked: bad shapes");
   }
   std::size_t best = mask.size();
+  std::size_t selectable = 0;
   double best_v = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i] && logits.at(i, 0) > best_v) {
+    if (!mask[i]) continue;
+    ++selectable;
+    if (logits.at(i, 0) > best_v) {
       best_v = logits.at(i, 0);
       best = i;
     }
   }
+  if (selectable == 0) throw std::invalid_argument("argmax_masked: all actions masked");
   if (best == mask.size()) {
-    throw std::invalid_argument("argmax_masked: all actions masked");
+    // Every selectable logit is NaN or -inf: a diverged model, not an
+    // empty action set.
+    throw std::runtime_error("argmax_masked: no finite logit among " +
+                             std::to_string(selectable) + " selectable rows");
   }
   return best;
 }

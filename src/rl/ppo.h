@@ -38,8 +38,14 @@ class ActorCritic {
   /// Critic estimate (1 x 1) of the flattened observation, as a graph.
   virtual nn::VarPtr value(const nn::Tensor& value_obs) const = 0;
 
-  /// Graph-free fast paths used during rollout collection.
-  virtual nn::Tensor policy_logits_nograd(const nn::Tensor& policy_obs) const = 0;
+  /// Graph-free logits column (rows x 1) into caller-owned buffers:
+  /// `out` receives it, `scratch` holds intermediate activations.
+  /// Allocation-free once both have seen their largest shapes — the
+  /// deployed agent's per-decision path.
+  virtual void policy_logits_into(const nn::Tensor& policy_obs, nn::Tensor& out,
+                                  nn::Tensor& scratch) const = 0;
+  /// policy_logits_into with fresh buffers (rollout collection).
+  nn::Tensor policy_logits_nograd(const nn::Tensor& policy_obs) const;
   virtual double value_nograd(const nn::Tensor& value_obs) const = 0;
 
   /// Score many observations in one pass where the model supports it

@@ -28,10 +28,16 @@ AgentConfig small_config() {
   return cfg;
 }
 
+/// One decision on fresh buffers.
+std::optional<std::size_t> greedy(const Agent& agent, const sim::BackfillContext& ctx) {
+  GreedyBuffers buffers;
+  return agent.choose_greedy(ctx, buffers);
+}
+
 TEST(Agent, GreedyChoosesAValidCandidate) {
   const Agent agent(small_config(), 1);
   const ContextFixture fx = opportunity();
-  const auto pick = agent.choose_greedy(fx.context());
+  const auto pick = greedy(agent, fx.context());
   ASSERT_TRUE(pick.has_value());
   EXPECT_LT(*pick, fx.candidates.size());
 }
@@ -39,8 +45,9 @@ TEST(Agent, GreedyChoosesAValidCandidate) {
 TEST(Agent, GreedyIsDeterministic) {
   const Agent agent(small_config(), 1);
   const ContextFixture fx = opportunity();
-  const auto first = agent.choose_greedy(fx.context());
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(agent.choose_greedy(fx.context()), first);
+  const auto first = greedy(agent, fx.context());
+  GreedyBuffers reused;
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(agent.choose_greedy(fx.context(), reused), first);
 }
 
 TEST(Agent, GreedyDeclinesWhenNothingSelectable) {
@@ -48,14 +55,14 @@ TEST(Agent, GreedyDeclinesWhenNothingSelectable) {
   cfg.obs.max_obsv_size = 1;  // only the (masked) rjob is observed
   const Agent agent(cfg, 1);
   const ContextFixture fx = opportunity();
-  EXPECT_FALSE(agent.choose_greedy(fx.context()).has_value());
+  EXPECT_FALSE(greedy(agent, fx.context()).has_value());
 }
 
 TEST(Agent, CloneActsIdentically) {
   const Agent agent(small_config(), 2);
   const Agent copy = agent.clone();
   const ContextFixture fx = opportunity();
-  EXPECT_EQ(copy.choose_greedy(fx.context()), agent.choose_greedy(fx.context()));
+  EXPECT_EQ(greedy(copy, fx.context()), greedy(agent, fx.context()));
 }
 
 TEST(Agent, DifferentSeedsGiveDifferentModels) {
@@ -81,7 +88,7 @@ TEST(Agent, SaveLoadRoundTripPreservesDecisions) {
   EXPECT_TRUE(loaded.config().kernel_policy);
 
   const ContextFixture fx = opportunity();
-  EXPECT_EQ(loaded.choose_greedy(fx.context()), agent.choose_greedy(fx.context()));
+  EXPECT_EQ(greedy(loaded, fx.context()), greedy(agent, fx.context()));
   std::remove(path.c_str());
 }
 
@@ -159,7 +166,7 @@ TEST(Agent, FlatVariantRoundTrips) {
   EXPECT_FALSE(loaded.config().kernel_policy);
   EXPECT_TRUE(loaded.config().obs.pad_policy_obs);
   const ContextFixture fx = opportunity();
-  EXPECT_EQ(loaded.choose_greedy(fx.context()), agent.choose_greedy(fx.context()));
+  EXPECT_EQ(greedy(loaded, fx.context()), greedy(agent, fx.context()));
   std::remove(path.c_str());
 }
 

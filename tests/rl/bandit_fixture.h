@@ -33,8 +33,9 @@ class TestActorCritic final : public ActorCritic {
   nn::VarPtr value(const nn::Tensor& obs) const override {
     return value_.forward(nn::constant(obs));
   }
-  nn::Tensor policy_logits_nograd(const nn::Tensor& obs) const override {
-    return policy_.forward_value(obs);
+  void policy_logits_into(const nn::Tensor& obs, nn::Tensor& out,
+                          nn::Tensor& scratch) const override {
+    policy_.forward_value_into(obs, out, scratch);
   }
   double value_nograd(const nn::Tensor& obs) const override {
     return value_.forward_value(obs).item();

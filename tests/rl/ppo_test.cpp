@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "nn/layers.h"
 
@@ -51,6 +53,25 @@ TEST(MaskedCategorical, ArgmaxSkipsMasked) {
   EXPECT_EQ(argmax_masked(logits, {1, 1, 1}), 0u);
   EXPECT_EQ(argmax_masked(logits, {0, 1, 1}), 1u);
   EXPECT_THROW(argmax_masked(logits, {0, 0, 0}), std::invalid_argument);
+}
+
+TEST(MaskedCategorical, ArgmaxNamesALogitSetWithNoFiniteValue) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  nn::Tensor logits(3, 1);
+  logits.at(0, 0) = nan;
+  logits.at(1, 0) = -inf;
+  logits.at(2, 0) = 3.0;
+  try {
+    argmax_masked(logits, {1, 1, 0});
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "argmax_masked: no finite logit among 2 selectable rows");
+  }
+  // A finite logit among NaNs still wins, and +inf beats everything.
+  EXPECT_EQ(argmax_masked(logits, {1, 1, 1}), 2u);
+  logits.at(1, 0) = inf;
+  EXPECT_EQ(argmax_masked(logits, {1, 1, 1}), 1u);
 }
 
 TEST(MaskedCategorical, ShapeMismatchThrows) {
