@@ -94,7 +94,7 @@ struct PlanOptions {
 };
 
 /// N shard-sweep jobs over the `run`/`sweep` flags in `options.args`.
-/// Shard i writes shard-tagged summaries + per-job CSVs into
+/// Shard i writes its shard summary + per-job CSVs into
 /// <work_dir>/shard<i>. Throws std::invalid_argument on an empty worker
 /// or work_dir, or workers == 0.
 std::vector<JobSpec> plan_sweep_jobs(const PlanOptions& options);

@@ -3,13 +3,12 @@
 // A sweep's expanded instance list is fully determined by (specs, seed)
 // before any worker starts, so distributing it across machines is a
 // deterministic partition of instance indices: shard i of N owns every
-// global index g with g % N == i. Each shard writes a shard-tagged
-// summary ("summary-shard<i>of<N>.csv/json") whose rows carry their
-// global instance index, and merge_shard_dirs() recombines a complete
-// shard set into the canonical unsharded files — byte-identical to a
-// single-machine run at the same seed, because rows are rendered once
-// (exp/sink.h) and merged as opaque text, never re-parsed and
-// re-formatted.
+// global index g with g % N == i. Each shard writes one summary
+// ("summary-shard<i>of<N>.json") whose rows carry their global instance
+// index, and merge_shard_dirs() recombines a complete shard set into
+// the canonical unsharded files — byte-identical to a single-machine
+// run at the same seed, because rows are rendered once (exp/sink.h) and
+// merged as opaque text, never re-parsed and re-formatted.
 //
 //   machine A: rlbf_run sweep --scenario=... --sweep=... --shard=0/2 --out_dir=sa
 //   machine B: rlbf_run sweep --scenario=... --sweep=... --shard=1/2 --out_dir=sb
@@ -20,7 +19,6 @@
 // std::runtime_error diagnostics — never a silently wrong merge.
 #pragma once
 
-#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -52,44 +50,31 @@ std::vector<std::size_t> shard_instance_indices(std::size_t total,
                                                 const ShardSpec& shard);
 
 /// A shard's slice of a sweep summary: row k of `rows` is global
-/// instance `instances[k]` of a `total_instances`-instance sweep.
+/// instance `instances[k]` of a `total_instances`-instance sweep run
+/// with --format=`format` (csv | json | both), and `per_job` names the
+/// per-job CSVs the shard wrote beside its summary.
 struct ShardSummary {
   ShardSpec shard;
   std::size_t total_instances = 0;
+  std::string format = "csv";
   std::vector<std::size_t> instances;
   std::vector<SummaryRow> rows;
+  std::vector<std::string> per_job;
 };
 
-/// "summary-shard0of3" + ext ("csv"/"json").
-std::string shard_summary_filename(const ShardSpec& shard,
-                                   const std::string& ext);
+/// "summary-shard0of3.json".
+std::string shard_summary_filename(const ShardSpec& shard);
 
-/// Shard-tagged renderings: the CSV carries a "# rlbf-shard i/N
-/// total=T" header line and a leading `instance` column; the JSON wraps
-/// the row objects (each with an extra "instance" key) in a
-/// {"shard": ..., "total": ..., "rows": [...]} envelope. Row payloads
-/// are the canonical sink renderings, byte for byte.
-void write_shard_summary_csv(std::ostream& os, const ShardSummary& summary);
-void write_shard_summary_json(std::ostream& os, const ShardSummary& summary);
-
-/// The validated shape of a merged shard set.
-struct ShardSetInfo {
-  std::size_t shard_count = 0;
-  std::size_t total_instances = 0;
-};
-
-/// Merge a complete set of shard summary files (all CSV or all JSON,
-/// one per shard) into the canonical unsharded file at `out_path`:
-/// global order restored, the shard tagging stripped. Throws
-/// std::runtime_error with a named diagnostic on unreadable or
-/// malformed inputs, inconsistent shard sets (mixed counts/totals),
-/// duplicate or missing shards, and duplicate, out-of-range, or missing
-/// (gap) instances. Rows are moved as opaque text, so the output is
-/// byte-identical to what the unsharded run would have written.
-ShardSetInfo merge_shard_summaries_csv(const std::vector<std::string>& inputs,
-                                       const std::string& out_path);
-ShardSetInfo merge_shard_summaries_json(const std::vector<std::string>& inputs,
-                                        const std::string& out_path);
+/// The shard summary, one JSON document laid out by obs::json::Writer:
+///
+///   {"shard": "i/N", "total": T, "format": "both",
+///    "per_job": ["jobs-….csv", …],
+///    "rows": [{"instance": g, "csv": "<row>", "json": "<row>"}, …]}
+///
+/// Each row carries both canonical sink renderings (summary_csv_row,
+/// summary_json_row) as JSON strings, so the merge moves them as opaque
+/// bytes and never re-parses a metric or a 64-bit seed.
+void write_shard_summary(std::ostream& os, const ShardSummary& summary);
 
 struct MergeReport {
   std::size_t shard_count = 0;
@@ -99,14 +84,17 @@ struct MergeReport {
   std::size_t per_job_files_copied = 0;
 };
 
-/// Directory-level merge: scan `input_dirs` for shard summary files
-/// (summary-shard*of*.csv/.json), merge each family present into
-/// `out_dir`/summary.csv|json, and copy the shards' per-job CSVs
-/// (jobs-*.csv, disjoint across shards by construction) alongside them,
-/// so the merged directory diffs clean against an unsharded --out_dir.
-/// Throws std::runtime_error (named) when no shard summaries are found,
-/// on any merge inconsistency above, or when two inputs carry the same
-/// per-job file.
+/// Scan `input_dirs` for shard summaries (summary-shard*of*.json),
+/// write the canonical summary.csv and/or summary.json (as the shards'
+/// --format says) into `out_dir`, and copy the shards' per-job CSVs
+/// alongside them, so the merged directory diffs clean against an
+/// unsharded --out_dir. Every check runs before anything is written;
+/// each failure is a std::runtime_error starting "merge:" — no shard
+/// summaries, an unreadable or malformed one, an inconsistent set
+/// (shard count, instance total or format differ), a duplicate or
+/// missing shard, a duplicate, out-of-range or missing instance, a
+/// jobs-*.csv no shard lists, a listed one that is missing, and an
+/// `out_dir` that is one of the inputs.
 MergeReport merge_shard_dirs(const std::vector<std::string>& input_dirs,
                              const std::string& out_dir);
 

@@ -65,6 +65,18 @@ std::string json_number(double value) {
   return std::isfinite(value) ? format_metric(value) : "null";
 }
 
+std::string json_count(double value) {
+  return std::isfinite(value) ? format_count(value) : "null";
+}
+
+std::vector<std::string> render(const std::vector<SummaryRow>& rows,
+                                std::string (*row_text)(const SummaryRow&)) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const SummaryRow& row : rows) out.push_back(row_text(row));
+  return out;
+}
+
 }  // namespace
 
 std::string summary_csv_header() {
@@ -88,36 +100,46 @@ std::string summary_csv_row(const SummaryRow& row) {
 
 std::string summary_json_row(const SummaryRow& row) {
   std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << "\"scenario\": \"" << obs::json::escape(row.scenario) << "\", \"label\": \""
-     << obs::json::escape(row.label) << "\", \"seed\": " << row.seed
-     << ", \"jobs\": " << row.jobs;
-  os << ", \"bsld\": " << json_number(row.bsld)
-     << ", \"avg_wait\": " << json_number(row.avg_wait)
-     << ", \"utilization\": " << json_number(row.utilization)
-     << ", \"backfilled\": "
-     << (std::isfinite(row.backfilled) ? format_count(row.backfilled) : "null")
-     << ", \"killed\": "
-     << (std::isfinite(row.killed) ? format_count(row.killed) : "null");
+  obs::json::Writer json(os);
+  json.object()
+      .key("scenario").value(row.scenario)
+      .key("label").value(row.label)
+      .key("seed").value(row.seed)
+      .key("jobs").value(row.jobs)
+      .key("bsld").raw(json_number(row.bsld))
+      .key("avg_wait").raw(json_number(row.avg_wait))
+      .key("utilization").raw(json_number(row.utilization))
+      .key("backfilled").raw(json_count(row.backfilled))
+      .key("killed").raw(json_count(row.killed));
   if (!std::isnan(row.ci_lo)) {
-    os << ", \"ci_lo\": " << json_number(row.ci_lo)
-       << ", \"ci_hi\": " << json_number(row.ci_hi);
+    json.key("ci_lo").raw(json_number(row.ci_lo))
+        .key("ci_hi").raw(json_number(row.ci_hi));
   }
+  json.end();
   return os.str();
 }
 
-void write_summary_csv(std::ostream& os, const std::vector<SummaryRow>& rows) {
+void write_rendered_summary_csv(std::ostream& os,
+                                const std::vector<std::string>& csv_rows) {
   os << summary_csv_header() << '\n';
-  for (const SummaryRow& row : rows) os << summary_csv_row(row) << '\n';
+  for (const std::string& row : csv_rows) os << row << '\n';
+}
+
+void write_rendered_summary_json(std::ostream& os,
+                                 const std::vector<std::string>& json_rows) {
+  obs::json::Writer json(os);
+  json.array(true);
+  for (const std::string& row : json_rows) json.raw(row);
+  json.end();
+  os << '\n';
+}
+
+void write_summary_csv(std::ostream& os, const std::vector<SummaryRow>& rows) {
+  write_rendered_summary_csv(os, render(rows, summary_csv_row));
 }
 
 void write_summary_json(std::ostream& os, const std::vector<SummaryRow>& rows) {
-  os << "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    os << "  {" << summary_json_row(rows[i]) << "}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "]\n";
+  write_rendered_summary_json(os, render(rows, summary_json_row));
 }
 
 void write_per_job_csv(std::ostream& os, const ScenarioRun& run) {

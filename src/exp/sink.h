@@ -53,15 +53,26 @@ std::string format_metric(double value);
 std::string format_count(double value);
 
 /// One canonical rendering per summary row, shared by the plain writers
-/// below and the shard-tagged writers (exp/shard.h) — merged shard
-/// output is byte-identical to an unsharded run by construction. The
-/// JSON row carries no surrounding "  {…}," decoration.
+/// below and the shard summary (exp/shard.h), so merged shard output is
+/// byte-identical to an unsharded run by construction. The JSON row is
+/// one compact object, {"scenario": …, "ci_hi": …}, laid out by
+/// obs::json::Writer.
 std::string summary_csv_header();
 std::string summary_csv_row(const SummaryRow& row);
 std::string summary_json_row(const SummaryRow& row);
 
+/// The summary files: the CSV header plus one line per row, and a
+/// line-layout JSON array of the row objects.
 void write_summary_csv(std::ostream& os, const std::vector<SummaryRow>& rows);
 void write_summary_json(std::ostream& os, const std::vector<SummaryRow>& rows);
+
+/// The same files from rows already rendered by summary_csv_row /
+/// summary_json_row — the form a shard merge holds them in.
+void write_rendered_summary_csv(std::ostream& os,
+                                const std::vector<std::string>& csv_rows);
+void write_rendered_summary_json(std::ostream& os,
+                                 const std::vector<std::string>& json_rows);
+
 void write_per_job_csv(std::ostream& os, const ScenarioRun& run);
 
 /// Turn an instance name ("sdsc-easy/load=0.5,policy=SJF") into a safe

@@ -29,11 +29,24 @@ CategoricalSample sample_masked(const nn::Tensor& logits,
     throw std::invalid_argument("sample_masked: bad shapes");
   }
   double zmax = -std::numeric_limits<double>::infinity();
+  std::size_t selectable = 0;
   for (std::size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i]) zmax = std::max(zmax, logits.at(i, 0));
+    if (!mask[i]) continue;
+    ++selectable;
+    const double z = logits.at(i, 0);
+    // NaN and +inf have no softmax weight: a diverged policy, named here
+    // instead of sampled into a NaN log-probability.
+    if (!(z < std::numeric_limits<double>::infinity())) {
+      throw std::runtime_error("sample_masked: logit " + std::to_string(z) +
+                               " at selectable row " + std::to_string(i) +
+                               " is not finite");
+    }
+    zmax = std::max(zmax, z);
   }
+  if (selectable == 0) throw std::invalid_argument("sample_masked: all actions masked");
   if (zmax == -std::numeric_limits<double>::infinity()) {
-    throw std::invalid_argument("sample_masked: all actions masked");
+    throw std::runtime_error("sample_masked: no finite logit among " +
+                             std::to_string(selectable) + " selectable rows");
   }
   std::vector<double> probs(mask.size(), 0.0);
   double total = 0.0;

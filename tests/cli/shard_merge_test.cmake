@@ -4,7 +4,10 @@
 #   1. A parameter sweep run as --shard=0/3, 1/3, 2/3 and merged must be
 #      byte-identical — summary CSV, summary JSON, and every per-job
 #      CSV — to the unsharded run at the same seed.
-#   2. An agent trained on "machine A" and shipped through
+#   2. A --format=csv --per_job=0 2-shard sweep merges to the unsharded
+#      run's files, and shards run with different --format values are
+#      refused as an inconsistent shard set.
+#   3. An agent trained on "machine A" and shipped through
 #      models --export_bundle / --import_bundle must resolve in the
 #      fresh store and reproduce its eval metrics exactly, including
 #      after an LRU eviction pass (--max_store_bytes) that must respect
@@ -83,7 +86,39 @@ run_or_fail("merge shards" merge --inputs=shard0,shard1,shard2
 compare_trees("merged 3-shard sweep vs unsharded"
               "${WORK_DIR}/unsharded" "${WORK_DIR}/merged")
 
-# ---- 2. store bundle round trip + LRU eviction ----------------------
+# ---- 2. summary format and per-job options survive the merge --------
+run_or_fail("unsharded csv sweep" run --scenario=sdsc-easy --jobs=300 --seed=7
+            "--sweep=${sweep_grid}" --format=csv --per_job=0
+            --out_dir=unsharded_csv)
+foreach(i RANGE 1)
+  run_or_fail("csv shard ${i}/2" sweep --scenario=sdsc-easy --jobs=300
+              --seed=7 "--sweep=${sweep_grid}" --format=csv --per_job=0
+              --shard=${i}/2 --out_dir=csv_shard${i})
+endforeach()
+run_or_fail("merge csv shards" merge --inputs=csv_shard0,csv_shard1
+            --out_dir=merged_csv)
+compare_trees("merged 2-shard csv sweep vs unsharded"
+              "${WORK_DIR}/unsharded_csv" "${WORK_DIR}/merged_csv")
+
+run_or_fail("json shard 1/2" sweep --scenario=sdsc-easy --jobs=300 --seed=7
+            "--sweep=${sweep_grid}" --format=json --per_job=0 --shard=1/2
+            --out_dir=json_shard1)
+execute_process(
+  COMMAND "${RLBF_RUN}" merge --inputs=csv_shard0,json_shard1
+          --out_dir=merged_mixed
+  WORKING_DIRECTORY "${WORK_DIR}"
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  RESULT_VARIABLE rc)
+if(rc EQUAL 0 OR NOT err MATCHES "inconsistent shard set")
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "merge of mixed --format shards: expected a non-zero exit "
+                  "naming 'inconsistent shard set', got '${rc}': ${err}")
+else()
+  message(STATUS "merge of mixed --format shards: refused")
+endif()
+
+# ---- 3. store bundle round trip + LRU eviction ----------------------
 # Train on "machine A", evaluate there, pack the store into a bundle.
 run_or_fail("train on A" train --spec=sdsc-tiny --store=store_a --quiet)
 run_or_fail("evaluate on A" run --scenario=sdsc-tiny-rlbf --store=store_a

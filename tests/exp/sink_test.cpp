@@ -62,6 +62,75 @@ TEST(WriteSummaryJson, HostileLabelStaysValidJson) {
   EXPECT_EQ(out.find("scn\nwith"), std::string::npos) << out;
 }
 
+// The summary files' bytes, pinned to the layout the writers have
+// always produced: a hostile label, non-finite metrics (CSV keeps the
+// to_chars text, JSON writes null), NaN as empty/null, CI columns
+// absent and present, and a seed above 2^53 that a double cannot hold.
+TEST(WriteSummary, BytesArePinned) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<SummaryRow> rows(3);
+  rows[0].scenario = "scn,with \"q\"\nnl";
+  rows[0].label = "lab, \"x\" \x02 end";
+  rows[0].seed = 7;
+  rows[0].jobs = 10;
+  rows[0].bsld = 2.5;
+  rows[0].avg_wait = 3.25;
+  rows[0].utilization = 0.5;
+  rows[0].backfilled = 4;
+  rows[0].killed = 0;
+  rows[1].scenario = "degenerate";
+  rows[1].label = "l";
+  rows[1].seed = 1;
+  rows[1].bsld = inf;
+  rows[1].avg_wait = -inf;
+  rows[1].backfilled = inf;
+  rows[1].ci_lo = -inf;
+  rows[1].ci_hi = inf;
+  rows[2].scenario = "big-seed";
+  rows[2].label = "protocol";
+  rows[2].seed = 18446744073709551557ull;
+  rows[2].jobs = 12345;
+  rows[2].bsld = 1.23456789;
+  rows[2].ci_lo = 1.1;
+  rows[2].ci_hi = 1.4;
+
+  std::ostringstream csv;
+  write_summary_csv(csv, rows);
+  EXPECT_EQ(csv.str(),
+            "scenario,label,seed,jobs,bsld,avg_wait,utilization,backfilled,"
+            "killed,ci_lo,ci_hi\n"
+            "\"scn,with \"\"q\"\"\nnl\",\"lab, \"\"x\"\" \x02 end\",7,10,2.5,"
+            "3.25,0.5,4,0,,\n"
+            "degenerate,l,1,0,inf,-inf,,inf,,-inf,inf\n"
+            "big-seed,protocol,18446744073709551557,12345,1.23457,,,,,1.1,1.4\n");
+
+  std::ostringstream json;
+  write_summary_json(json, rows);
+  EXPECT_EQ(json.str(),
+            "[\n"
+            "  {\"scenario\": \"scn,with \\\"q\\\"\\nnl\", \"label\": \"lab, "
+            "\\\"x\\\" \\u0002 end\", \"seed\": 7, \"jobs\": 10, \"bsld\": 2.5, "
+            "\"avg_wait\": 3.25, \"utilization\": 0.5, \"backfilled\": 4, "
+            "\"killed\": 0},\n"
+            "  {\"scenario\": \"degenerate\", \"label\": \"l\", \"seed\": 1, "
+            "\"jobs\": 0, \"bsld\": null, \"avg_wait\": null, \"utilization\": "
+            "null, \"backfilled\": null, \"killed\": null, \"ci_lo\": null, "
+            "\"ci_hi\": null},\n"
+            "  {\"scenario\": \"big-seed\", \"label\": \"protocol\", \"seed\": "
+            "18446744073709551557, \"jobs\": 12345, \"bsld\": 1.23457, "
+            "\"avg_wait\": null, \"utilization\": null, \"backfilled\": null, "
+            "\"killed\": null, \"ci_lo\": 1.1, \"ci_hi\": 1.4}\n"
+            "]\n");
+
+  // The one-row renderings are the file lines without their decoration.
+  EXPECT_EQ(summary_csv_row(rows[1]), "degenerate,l,1,0,inf,-inf,,inf,,-inf,inf");
+  EXPECT_EQ(summary_json_row(rows[2]),
+            "{\"scenario\": \"big-seed\", \"label\": \"protocol\", \"seed\": "
+            "18446744073709551557, \"jobs\": 12345, \"bsld\": 1.23457, "
+            "\"avg_wait\": null, \"utilization\": null, \"backfilled\": null, "
+            "\"killed\": null, \"ci_lo\": 1.1, \"ci_hi\": 1.4}");
+}
+
 TEST(Formatting, MetricAndCountRenderings) {
   EXPECT_EQ(format_metric(3.14), "3.14");
   EXPECT_EQ(format_metric(0.0), "0");

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "nn/layers.h"
 
@@ -72,6 +74,51 @@ TEST(MaskedCategorical, ArgmaxNamesALogitSetWithNoFiniteValue) {
   EXPECT_EQ(argmax_masked(logits, {1, 1, 1}), 2u);
   logits.at(1, 0) = inf;
   EXPECT_EQ(argmax_masked(logits, {1, 1, 1}), 1u);
+}
+
+/// The message of the std::runtime_error sample_masked throws, or "".
+std::string sample_error(const std::vector<double>& values,
+                         const std::vector<std::uint8_t>& mask) {
+  nn::Tensor logits(values.size(), 1);
+  for (std::size_t i = 0; i < values.size(); ++i) logits.at(i, 0) = values[i];
+  util::Rng rng(1);
+  try {
+    sample_masked(logits, mask, rng);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MaskedCategorical, SampleNamesANanOrPositiveInfiniteLogit) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // All selectable logits NaN: a diverged policy, not an empty action set.
+  const std::string all_nan = sample_error({nan, nan}, {1, 1});
+  EXPECT_NE(all_nan.find("sample_masked: logit"), std::string::npos) << all_nan;
+  EXPECT_NE(all_nan.find("at selectable row 0 is not finite"), std::string::npos)
+      << all_nan;
+  // One NaN beside a finite logit used to sample with log_prob NaN.
+  EXPECT_NE(sample_error({nan, 1.0}, {1, 1}).find("row 0 is not finite"),
+            std::string::npos);
+  EXPECT_NE(sample_error({1.0, inf}, {1, 1}).find("row 1 is not finite"),
+            std::string::npos);
+  // Masked rows are never read.
+  EXPECT_EQ(sample_error({nan, 1.0, inf}, {0, 1, 0}), "");
+}
+
+TEST(MaskedCategorical, SampleNamesALogitSetWithNoFiniteValue) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(sample_error({-inf, -inf, 2.0}, {1, 1, 0}),
+            "sample_masked: no finite logit among 2 selectable rows");
+  // A -inf row next to a finite one simply has probability zero.
+  nn::Tensor logits(2, 1);
+  logits.at(0, 0) = -inf;
+  logits.at(1, 0) = 0.5;
+  util::Rng rng(3);
+  const CategoricalSample sample = sample_masked(logits, {1, 1}, rng);
+  EXPECT_EQ(sample.action, 1u);
+  EXPECT_EQ(sample.log_prob, 0.0);
 }
 
 TEST(MaskedCategorical, ShapeMismatchThrows) {

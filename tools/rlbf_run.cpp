@@ -574,6 +574,12 @@ int run(int argc, char** argv) {
                           const std::function<void(std::ostream&)>& write) {
       ok &= obs::write_file(args.out_dir + "/" + name, write);
     };
+    std::vector<std::string> per_job;
+    if (args.per_job) {
+      for (const exp::ScenarioRun& r : runs) {
+        per_job.push_back(exp::per_job_filename(r.scenario, r.seed));
+      }
+    }
     if (args.shard_text.empty()) {
       if (csv) {
         save("summary.csv",
@@ -584,30 +590,18 @@ int run(int argc, char** argv) {
              [&](std::ostream& os) { exp::write_summary_json(os, rows); });
       }
     } else {
-      // Shard-tagged artifacts: rows carry their global instance index
-      // so `rlbf_run merge` can restore the unsharded order (and detect
-      // gaps/duplicates) without re-parsing any numbers.
-      exp::ShardSummary summary;
-      summary.shard = shard;
-      summary.total_instances = total_instances;
-      summary.instances = instances;
-      summary.rows = rows;
-      if (csv) {
-        save(exp::shard_summary_filename(shard, "csv"), [&](std::ostream& os) {
-          exp::write_shard_summary_csv(os, summary);
-        });
-      }
-      if (json) {
-        save(exp::shard_summary_filename(shard, "json"), [&](std::ostream& os) {
-          exp::write_shard_summary_json(os, summary);
-        });
-      }
+      // One shard summary whatever --format is: rows carry their global
+      // instance index so `rlbf_run merge` can restore the unsharded
+      // order (and detect gaps/duplicates), and the per-job list lets it
+      // check the shard's files arrived.
+      const exp::ShardSummary summary{shard, total_instances, args.format,
+                                      instances, rows, per_job};
+      save(exp::shard_summary_filename(shard),
+           [&](std::ostream& os) { exp::write_shard_summary(os, summary); });
     }
-    if (args.per_job) {
-      for (const exp::ScenarioRun& r : runs) {
-        save(exp::per_job_filename(r.scenario, r.seed),
-             [&](std::ostream& os) { exp::write_per_job_csv(os, r); });
-      }
+    for (std::size_t k = 0; k < per_job.size(); ++k) {
+      save(per_job[k],
+           [&](std::ostream& os) { exp::write_per_job_csv(os, runs[k]); });
     }
     if (!ok) {
       std::cerr << "rlbf_run: failed writing results under " << args.out_dir
@@ -628,10 +622,15 @@ struct MergeArgs {
   exp::ArgParser make_parser() {
     exp::ArgParser parser(
         "rlbf_run merge",
-        "Recombine shard-tagged sweep outputs (run/sweep --shard=I/N "
-        "--out_dir=...) into the canonical unsharded files — byte-identical "
-        "to a single-machine run at the same seed. Incomplete or "
-        "inconsistent shard sets fail with named errors.");
+        "Recombine shard outputs (run/sweep --shard=I/N --out_dir=...) "
+        "into the canonical unsharded files — byte-identical to a "
+        "single-machine run at the same seed. Each shard directory holds "
+        "one summary-shard<I>of<N>.json naming the per-job files it wrote; "
+        "the summaries written are those of the shards' --format. "
+        "Incomplete or inconsistent shard sets (missing or duplicate "
+        "shards or instances, mixed --format, stray or missing per-job "
+        "files, an --out_dir that is an input) fail with named errors "
+        "before anything is written.");
     parser.add("--inputs", &inputs,
                "comma-separated shard output directories (one per shard)");
     parser.add("--out_dir", &out_dir, "where the merged files go");
