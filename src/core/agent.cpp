@@ -39,7 +39,13 @@ Agent Agent::clone() const { return Agent(config_, model_->clone()); }
 std::optional<std::size_t> Agent::choose_greedy(const sim::BackfillContext& ctx,
                                                 GreedyBuffers& buffers) const {
   PolicyObservation& po = buffers.obs;
-  observer_.build_policy_into(ctx, po);
+  // The kernel policy scores rows independently, so only the selectable
+  // ones need building and scoring; the flat policy reads positions.
+  if (config_.kernel_policy) {
+    observer_.build_selectable_into(ctx, po);
+  } else {
+    observer_.build_policy_into(ctx, po);
+  }
   if (!po.any_selectable()) return std::nullopt;
   model_->policy_logits_into(po.obs, buffers.logits, buffers.scratch);
   const std::size_t row = rl::argmax_masked(buffers.logits, po.mask);

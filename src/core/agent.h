@@ -45,8 +45,10 @@ class Agent {
 
   /// Greedy action for one backfilling opportunity: index into
   /// ctx.candidates, or nullopt when every candidate is masked/cut off
-  /// (or the stop row wins). Allocation-free once `buffers` have seen
-  /// the deepest queue.
+  /// (or the stop row wins). The kernel policy builds and scores only
+  /// the selectable rows (ObservationBuilder::build_selectable_into);
+  /// the flat policy builds the padded full observation. Allocation-free
+  /// once `buffers` have seen the deepest queue.
   std::optional<std::size_t> choose_greedy(const sim::BackfillContext& ctx,
                                            GreedyBuffers& buffers) const;
 

@@ -68,7 +68,7 @@ std::optional<std::size_t> TrainingEnv::choose(const sim::BackfillContext& ctx) 
   double log_prob;
   switch (config_.effective_selection()) {
     case ActionSelection::SampleSoftmax: {
-      const rl::CategoricalSample s = rl::sample_masked(logits, po.mask, rng_);
+      const rl::CategoricalSample s = rl::sample_masked(logits, po.mask, rng_, probs_);
       row = s.action;
       log_prob = s.log_prob;
       break;

@@ -127,6 +127,8 @@ class TrainingEnv final : public sim::BackfillChooser {
   util::Rng rng_;
   rl::Episode episode_;
   std::vector<PendingDelayCheck> pending_checks_;
+  /// sample_masked's softmax weights, reused across decisions.
+  std::vector<double> probs_;
   double baseline_bsld_ = 0.0;
   double last_bsld_ = 0.0;
   bool episode_open_ = false;

@@ -34,6 +34,12 @@ const std::vector<std::size_t>& submit_order(const sim::BackfillContext& ctx) {
   }
   return q;
 }
+
+/// The synthetic stop row: the free fraction and the stop indicator.
+void fill_stop_row(double* row, const sim::BackfillContext& ctx) {
+  row[6] = ctx.cluster.free_fraction();
+  row[8] = 1.0;
+}
 }  // namespace
 
 bool PolicyObservation::any_selectable() const {
@@ -104,8 +110,7 @@ void ObservationBuilder::build_policy_into(const sim::BackfillContext& ctx,
     // The stop row lives at the fixed last index so the flat (padded)
     // policy sees it at a stable position.
     const std::size_t stop_row = rows - 1;
-    obs[stop_row * kF + 6] = ctx.cluster.free_fraction();
-    obs[stop_row * kF + 8] = 1.0;
+    fill_stop_row(obs + stop_row * kF, ctx);
     po.mask[stop_row] = 1;
     po.row_to_candidate[stop_row] = kStopAction;
   }
@@ -113,19 +118,55 @@ void ObservationBuilder::build_policy_into(const sim::BackfillContext& ctx,
   for (std::size_t r = 0; r < observed; ++r) {
     const std::size_t job_idx = queue[r];
     fill_row(obs + r * kF, job_idx, ctx);
-    if (job_idx == ctx.rjob) continue;  // present but never selectable
-    const auto it = std::find(ctx.candidates.begin(), ctx.candidates.end(), job_idx);
-    if (it == ctx.candidates.end()) continue;  // does not fit right now
-    if ((admissible_only || config_.mask_inadmissible) &&
-        !sched::EasyBackfillChooser::admissible_with_estimate(
-            ctx.trace[job_idx], ctx.reservation,
-            sim::context_estimate(ctx, job_idx), ctx.now)) {
-      continue;
-    }
+    const std::size_t candidate = selectable_candidate(ctx, job_idx, admissible_only);
+    if (candidate == kNoCandidate) continue;
     po.mask[r] = 1;
-    po.row_to_candidate[r] =
-        static_cast<std::size_t>(std::distance(ctx.candidates.begin(), it));
+    po.row_to_candidate[r] = candidate;
   }
+}
+
+void ObservationBuilder::build_selectable_into(const sim::BackfillContext& ctx,
+                                               PolicyObservation& po) const {
+  const std::vector<std::size_t>& queue = submit_order(ctx);
+  const std::size_t observed = std::min(queue.size(), config_.max_obsv_size);
+  constexpr std::size_t kF = ObservationConfig::kFeatures;
+
+  // First pass: the selectable rows' candidates, in submit order. A
+  // selectable row's job is ctx.candidates[candidate], so the second
+  // pass needs no other record of which rows were kept.
+  po.row_to_candidate.clear();
+  for (std::size_t r = 0; r < observed; ++r) {
+    const std::size_t candidate = selectable_candidate(ctx, queue[r], false);
+    if (candidate != kNoCandidate) po.row_to_candidate.push_back(candidate);
+  }
+  const std::size_t kept = po.row_to_candidate.size();
+  const std::size_t rows = kept + (config_.stop_action ? 1 : 0);
+
+  po.obs.assign(rows, kF, 0.0);
+  po.mask.assign(rows, 1);
+  double* obs = po.obs.data().data();
+  for (std::size_t r = 0; r < kept; ++r) {
+    fill_row(obs + r * kF, ctx.candidates[po.row_to_candidate[r]], ctx);
+  }
+  if (config_.stop_action) {
+    fill_stop_row(obs + kept * kF, ctx);
+    po.row_to_candidate.push_back(kStopAction);
+  }
+}
+
+std::size_t ObservationBuilder::selectable_candidate(const sim::BackfillContext& ctx,
+                                                     std::size_t job_idx,
+                                                     bool admissible_only) const {
+  if (job_idx == ctx.rjob) return kNoCandidate;  // present but never selectable
+  const auto it = std::find(ctx.candidates.begin(), ctx.candidates.end(), job_idx);
+  if (it == ctx.candidates.end()) return kNoCandidate;  // does not fit right now
+  if ((admissible_only || config_.mask_inadmissible) &&
+      !sched::EasyBackfillChooser::admissible_with_estimate(
+          ctx.trace[job_idx], ctx.reservation, sim::context_estimate(ctx, job_idx),
+          ctx.now)) {
+    return kNoCandidate;
+  }
+  return static_cast<std::size_t>(std::distance(ctx.candidates.begin(), it));
 }
 
 PolicyObservation ObservationBuilder::build_policy(const sim::BackfillContext& ctx,

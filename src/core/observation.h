@@ -112,11 +112,24 @@ class ObservationBuilder {
   /// build_policy_into a fresh observation.
   PolicyObservation build_policy(const sim::BackfillContext& ctx,
                                  bool admissible_only = false) const;
+  /// Only the rows build_policy_into marks selectable, byte for byte and
+  /// in the same submit order, then the stop row when enabled; the mask
+  /// is all ones. The greedy kernel-policy path builds this: the kernel
+  /// scores each row on its own, so the rows it skips (the rjob, jobs
+  /// that do not fit, inadmissible jobs under mask_inadmissible) cannot
+  /// change the first maximum. Not for the flat policy, which reads
+  /// rows by position.
+  void build_selectable_into(const sim::BackfillContext& ctx, PolicyObservation& po) const;
 
   /// Build the flattened fixed-size critic observation (1 x value_feature_dim).
   nn::Tensor build_value(const sim::BackfillContext& ctx) const;
 
  private:
+  /// Index into ctx.candidates of job `job_idx`'s row, or kNoCandidate
+  /// when the row is not selectable: the one rule both policy builders
+  /// share.
+  std::size_t selectable_candidate(const sim::BackfillContext& ctx, std::size_t job_idx,
+                                   bool admissible_only) const;
   /// Write job `job_index`'s kFeatures features at `row`.
   void fill_row(double* row, std::size_t job_index, const sim::BackfillContext& ctx) const;
 

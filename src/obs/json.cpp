@@ -7,12 +7,43 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/metrics.h"
 
 namespace rlbf::obs::json {
 
 namespace {
+
+/// Whether a number literal from_chars found out of range is too small
+/// rather than too large: the place of its leading significant digit,
+/// exponent included, is negative. Doubles span about 1e-324..1e308, so
+/// that sign alone decides.
+bool underflows(std::string_view literal) {
+  const auto digit = [&](std::size_t i) {
+    return i < literal.size() && std::isdigit(static_cast<unsigned char>(literal[i]));
+  };
+  std::size_t i = literal.find_first_not_of("+-");
+  std::int64_t lead = -1;
+  for (; digit(i); ++i) {
+    if (lead >= 0 || literal[i] != '0') ++lead;
+  }
+  if (i < literal.size() && literal[i] == '.') {
+    // No significant integer digit: each leading fraction zero moves the
+    // leading digit one place further down.
+    for (++i; lead < 0 && i < literal.size() && literal[i] == '0'; ++i) --lead;
+  }
+  i = literal.find_first_of("eE");
+  std::int64_t exponent = 0;
+  if (i != std::string_view::npos) {
+    const bool negative = i + 1 < literal.size() && literal[i + 1] == '-';
+    i = literal.find_first_not_of("+-", i + 1);
+    // Saturate: an exponent this large is out of range either way.
+    for (; digit(i) && exponent < 100000; ++i) exponent = exponent * 10 + (literal[i] - '0');
+    if (negative) exponent = -exponent;
+  }
+  return lead + exponent < 0;
+}
 
 class Parser {
  public:
@@ -182,6 +213,10 @@ class Parser {
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;
+        fail("raw control byte in string");
+      }
       if (c != '\\') {
         out += c;
         continue;
@@ -199,10 +234,18 @@ class Parser {
         case 't': out += '\t'; break;
         case 'u': {
           std::uint32_t cp = parse_hex4();
-          if (cp >= 0xD800 && cp <= 0xDBFF && pos_ + 1 < text_.size() &&
-              text_[pos_] == '\\' && text_[pos_ + 1] == 'u') {
-            pos_ += 2;  // surrogate pair
+          if (cp >= 0xDC00 && cp <= 0xDFFF) fail("lone low surrogate in \\u escape");
+          if (cp >= 0xD800 && cp <= 0xDBFF) {
+            // A high surrogate is half a code point: the low half must
+            // follow as the next escape.
+            if (text_.compare(pos_, 2, "\\u") != 0) {
+              fail("lone high surrogate in \\u escape");
+            }
+            pos_ += 2;
             const std::uint32_t low = parse_hex4();
+            if (low < 0xDC00 || low > 0xDFFF) {
+              fail("high surrogate followed by a non-low-surrogate \\u escape");
+            }
             cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
           }
           append_utf8(out, cp);
@@ -229,12 +272,16 @@ class Parser {
     v.kind = Value::Kind::Number;
     // from_chars: locale-independent, exact round trip of the shortest
     // representations the obs dumps emit. "1e999" (the dumps' +inf
-    // rendering) overflows to result_out_of_range — map it back to inf.
+    // rendering) overflows to result_out_of_range — map it back to inf;
+    // a literal too small for a double (1e-400) underflows to zero.
     const auto res = std::from_chars(text_.data() + start, text_.data() + pos_,
                                      v.number);
     if (res.ec == std::errc::result_out_of_range) {
-      v.number = text_[start] == '-' ? -std::numeric_limits<double>::infinity()
-                                     : std::numeric_limits<double>::infinity();
+      const double magnitude =
+          underflows(std::string_view(text_).substr(start, pos_ - start))
+              ? 0.0
+              : std::numeric_limits<double>::infinity();
+      v.number = text_[start] == '-' ? -magnitude : magnitude;
     } else if (res.ec != std::errc() ||
                res.ptr != text_.data() + pos_ || start == pos_) {
       pos_ = start;

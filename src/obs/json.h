@@ -9,9 +9,12 @@
 //
 // Reader scope: full JSON syntax (objects, arrays, strings with
 // escapes, numbers, bools, null), source-order-preserving objects, and
-// locale-independent number parsing (std::from_chars). Errors are
-// std::runtime_error naming the document origin and byte offset, so a
-// truncated worker sidecar fails with a message, never a crash.
+// locale-independent number parsing (std::from_chars; a literal past a
+// double's range reads as ±inf, one below it as ±0). Strings must be
+// well-formed: raw control bytes and unpaired \u surrogates are errors.
+// Errors are std::runtime_error naming the document origin and byte
+// offset, so a truncated worker sidecar fails with a message, never a
+// crash.
 #pragma once
 
 #include <charconv>

@@ -24,7 +24,8 @@ std::vector<nn::Tensor> ActorCritic::policy_logits_nograd_batch(
 }
 
 CategoricalSample sample_masked(const nn::Tensor& logits,
-                                const std::vector<std::uint8_t>& mask, util::Rng& rng) {
+                                const std::vector<std::uint8_t>& mask, util::Rng& rng,
+                                std::vector<double>& probs) {
   if (logits.cols() != 1 || logits.rows() != mask.size()) {
     throw std::invalid_argument("sample_masked: bad shapes");
   }
@@ -48,7 +49,7 @@ CategoricalSample sample_masked(const nn::Tensor& logits,
     throw std::runtime_error("sample_masked: no finite logit among " +
                              std::to_string(selectable) + " selectable rows");
   }
-  std::vector<double> probs(mask.size(), 0.0);
+  probs.assign(mask.size(), 0.0);
   double total = 0.0;
   for (std::size_t i = 0; i < mask.size(); ++i) {
     if (mask[i]) {

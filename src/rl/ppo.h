@@ -70,8 +70,12 @@ struct CategoricalSample {
   double log_prob = 0.0;
 };
 /// Sample from softmax(logits[mask]); used during training rollouts.
+/// The softmax weights go to the caller's `probs` (resized to the
+/// mask), so a caller reusing it across decisions allocates nothing
+/// once it has seen the widest mask.
 CategoricalSample sample_masked(const nn::Tensor& logits,
-                                const std::vector<std::uint8_t>& mask, util::Rng& rng);
+                                const std::vector<std::uint8_t>& mask, util::Rng& rng,
+                                std::vector<double>& probs);
 /// Argmax over valid entries; used at test time ("during testing, we
 /// directly select the job with the highest probability").
 std::size_t argmax_masked(const nn::Tensor& logits,

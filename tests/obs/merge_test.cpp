@@ -56,6 +56,49 @@ TEST(JsonTest, UnicodeEscapesDecodeToUtf8) {
   EXPECT_EQ(v.string_at("s"), "\xC3\xA9\xF0\x9F\x98\x80");
 }
 
+TEST(JsonTest, OutOfRangeNumbersUnderflowToZeroAndOverflowToInf) {
+  const obs::json::Value v =
+      obs::json::parse(R"([1e-400, -1e-400, 1e999, -1e999, 0.0001e-330, 12e-330])");
+  ASSERT_EQ(v.items.size(), 6u);
+  EXPECT_EQ(v.items[0].number, 0.0);
+  EXPECT_FALSE(std::signbit(v.items[0].number));
+  EXPECT_EQ(v.items[1].number, 0.0);
+  EXPECT_TRUE(std::signbit(v.items[1].number));
+  EXPECT_EQ(v.items[2].number, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(v.items[3].number, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(v.items[4].number, 0.0);
+  EXPECT_EQ(v.items[5].number, 0.0);
+}
+
+/// The message parse throws for `text`, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    obs::json::parse(text, "doc");
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JsonTest, MalformedStringsFailWithNamedErrors) {
+  EXPECT_EQ(parse_error(R"("\ud800A")"), "doc: lone high surrogate in \\u escape at byte 7");
+  EXPECT_EQ(parse_error(R"("\ud800\u0041")"),
+            "doc: high surrogate followed by a non-low-surrogate \\u escape at byte 13");
+  EXPECT_EQ(parse_error(R"("\ud800")"), "doc: lone high surrogate in \\u escape at byte 7");
+  EXPECT_EQ(parse_error(R"("\ud800x")"), "doc: lone high surrogate in \\u escape at byte 7");
+  EXPECT_EQ(parse_error(R"("\udc00")"), "doc: lone low surrogate in \\u escape at byte 7");
+  EXPECT_EQ(parse_error(R"("\ud800\ud800")"),
+            "doc: high surrogate followed by a non-low-surrogate \\u escape at byte 13");
+  EXPECT_EQ(parse_error("[\"a\x01" "b\"]"), "doc: raw control byte in string at byte 3");
+  EXPECT_EQ(parse_error("\"tab\there\""), "doc: raw control byte in string at byte 4");
+  // A valid pair still decodes to its one code point (U+1F600).
+  EXPECT_EQ(obs::json::parse(R"("\ud83d\ude00")").text, "\xF0\x9F\x98\x80");
+  // Everything escape() emits reads back: every byte below 0x20 included.
+  std::string all;
+  for (int c = 1; c < 0x80; ++c) all += static_cast<char>(c);
+  EXPECT_EQ(obs::json::parse('"' + obs::json::escape(all) + '"').text, all);
+}
+
 TEST(JsonTest, ErrorsNameOriginAndOffset) {
   try {
     obs::json::parse("{\"a\": }", "worker0.metrics.json");

@@ -78,12 +78,13 @@ inline nn::Tensor bandit_obs(util::Rng& rng, std::size_t& good_out) {
 inline RolloutBuffer collect_bandit(TestActorCritic& model, util::Rng& rng,
                                     std::size_t episodes) {
   RolloutBuffer buf;
+  std::vector<double> probs;
   for (std::size_t e = 0; e < episodes; ++e) {
     std::size_t good;
     const nn::Tensor obs = bandit_obs(rng, good);
     const std::vector<std::uint8_t> mask = {1, 1, 1, 1};
     const auto logits = model.policy_logits_nograd(obs);
-    const auto sample = sample_masked(logits, mask, rng);
+    const auto sample = sample_masked(logits, mask, rng, probs);
 
     Step s;
     s.policy_obs = obs;
@@ -104,6 +105,7 @@ inline RolloutBuffer collect_bandit(TestActorCritic& model, util::Rng& rng,
 inline RolloutBuffer collect_bandit_eps(TestActorCritic& model, util::Rng& rng,
                                         std::size_t episodes, double epsilon) {
   RolloutBuffer buf;
+  std::vector<double> probs;
   for (std::size_t e = 0; e < episodes; ++e) {
     std::size_t good;
     const nn::Tensor obs = bandit_obs(rng, good);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -21,8 +22,9 @@ TEST(MaskedCategorical, SampleRespectsMask) {
   logits.at(1, 0) = 0.0;
   logits.at(2, 0) = 0.0;
   util::Rng rng(1);
+  std::vector<double> probs;
   for (int i = 0; i < 200; ++i) {
-    const auto s = sample_masked(logits, {0, 1, 1}, rng);
+    const auto s = sample_masked(logits, {0, 1, 1}, rng, probs);
     EXPECT_NE(s.action, 0u);
     EXPECT_NEAR(s.log_prob, std::log(0.5), 1e-9);
   }
@@ -33,10 +35,11 @@ TEST(MaskedCategorical, SampleFrequenciesFollowSoftmax) {
   logits.at(0, 0) = std::log(3.0);
   logits.at(1, 0) = 0.0;  // p = [0.75, 0.25]
   util::Rng rng(2);
+  std::vector<double> probs;
   int zero = 0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) {
-    zero += sample_masked(logits, {1, 1}, rng).action == 0 ? 1 : 0;
+    zero += sample_masked(logits, {1, 1}, rng, probs).action == 0 ? 1 : 0;
   }
   EXPECT_NEAR(zero / static_cast<double>(n), 0.75, 0.01);
 }
@@ -44,7 +47,8 @@ TEST(MaskedCategorical, SampleFrequenciesFollowSoftmax) {
 TEST(MaskedCategorical, SampleThrowsWhenAllMasked) {
   nn::Tensor logits(2, 1);
   util::Rng rng(1);
-  EXPECT_THROW(sample_masked(logits, {0, 0}, rng), std::invalid_argument);
+  std::vector<double> probs;
+  EXPECT_THROW(sample_masked(logits, {0, 0}, rng, probs), std::invalid_argument);
 }
 
 TEST(MaskedCategorical, ArgmaxSkipsMasked) {
@@ -82,8 +86,9 @@ std::string sample_error(const std::vector<double>& values,
   nn::Tensor logits(values.size(), 1);
   for (std::size_t i = 0; i < values.size(); ++i) logits.at(i, 0) = values[i];
   util::Rng rng(1);
+  std::vector<double> probs;
   try {
-    sample_masked(logits, mask, rng);
+    sample_masked(logits, mask, rng, probs);
   } catch (const std::runtime_error& e) {
     return e.what();
   }
@@ -116,15 +121,41 @@ TEST(MaskedCategorical, SampleNamesALogitSetWithNoFiniteValue) {
   logits.at(0, 0) = -inf;
   logits.at(1, 0) = 0.5;
   util::Rng rng(3);
-  const CategoricalSample sample = sample_masked(logits, {1, 1}, rng);
+  std::vector<double> probs;
+  const CategoricalSample sample = sample_masked(logits, {1, 1}, rng, probs);
   EXPECT_EQ(sample.action, 1u);
   EXPECT_EQ(sample.log_prob, 0.0);
+}
+
+TEST(MaskedCategorical, AReusedBufferSamplesLikeFreshOnes) {
+  // Masks of shrinking and growing width through one buffer: the stale
+  // weights of a wider mask must not leak into a narrower one's draw.
+  const std::vector<std::vector<std::uint8_t>> masks = {
+      {1, 1, 0, 1, 1, 1}, {0, 1, 1}, {1, 0, 1, 1, 0, 1, 1, 1}, {1}, {1, 1, 1, 1, 1}};
+  util::Rng reused_rng(4);
+  util::Rng fresh_rng(4);
+  std::vector<double> reused;
+  for (int round = 0; round < 50; ++round) {
+    for (const std::vector<std::uint8_t>& mask : masks) {
+      nn::Tensor logits(mask.size(), 1);
+      for (std::size_t i = 0; i < mask.size(); ++i) {
+        logits.at(i, 0) = 0.3 * static_cast<double>((i * 7 + round) % 5);
+      }
+      std::vector<double> fresh;
+      const CategoricalSample a = sample_masked(logits, mask, reused_rng, reused);
+      const CategoricalSample b = sample_masked(logits, mask, fresh_rng, fresh);
+      ASSERT_EQ(a.action, b.action);
+      ASSERT_EQ(std::memcmp(&a.log_prob, &b.log_prob, sizeof(double)), 0);
+      ASSERT_EQ(reused, fresh);
+    }
+  }
 }
 
 TEST(MaskedCategorical, ShapeMismatchThrows) {
   nn::Tensor logits(3, 1);
   util::Rng rng(1);
-  EXPECT_THROW(sample_masked(logits, {1, 1}, rng), std::invalid_argument);
+  std::vector<double> probs;
+  EXPECT_THROW(sample_masked(logits, {1, 1}, rng, probs), std::invalid_argument);
   EXPECT_THROW(argmax_masked(logits, {1, 1}), std::invalid_argument);
 }
 
