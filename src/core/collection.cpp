@@ -10,9 +10,8 @@ std::vector<rl::SequenceResult> collect_sequences(
     rl::Collector& collector, const rl::CollectionPlan& plan,
     const CollectionContext& ctx, const Agent& agent) {
   // Per-slot agent replicas: collection reads model parameters while the
-  // learner later writes them, so transport slots run on private copies
-  // synced once per epoch. A process transport reports zero slots (its
-  // workers load the model themselves) and never invokes the fn.
+  // learner later writes them, so collector slots run on private copies
+  // synced once per epoch.
   const std::size_t n_slots = collector.slots(plan.seeds.size());
   std::vector<Agent> replicas;
   replicas.reserve(n_slots);

@@ -1,14 +1,14 @@
 // The one sequence-production body behind core::Trainer (every
-// algorithm: PPO, DQN, REINFORCE) and the `collect-rollouts` worker,
-// driven through the rl::Collector transport seam.
+// algorithm: PPO, DQN, REINFORCE), driven through the rl::Collector
+// seam.
 //
 // Per sequence: sample `jobs_per_trajectory` consecutive jobs from the
 // training trace, simulate the reward baseline on them (FCFS base +
 // shortest-first EASY backfilling, paper §3.4), then schedule them with
 // the base policy and the sampling TrainingEnv. Everything is a pure
 // function of the per-sequence seed plus the context — the property the
-// transports rely on for byte-identical collection at any thread or
-// worker count.
+// collector relies on for byte-identical collection at any thread
+// count.
 #pragma once
 
 #include "core/agent.h"
@@ -31,7 +31,7 @@ struct CollectionContext {
 };
 
 /// Run one epoch's collection through `collector`. Provisions one agent
-/// replica per transport slot (replicas are only READ during
+/// replica per collector slot (replicas are only READ during
 /// collection — the learner's update happens after — so a slot serving
 /// several sequences is safe) and returns plan.seeds.size() results in
 /// sequence order.

@@ -44,7 +44,7 @@ class Learner {
 
   /// Apply this algorithm's exploration to the collection of epoch
   /// plan.epoch (1-based): force env's selection mode and record any
-  /// exploration rate on the plan, where remote transports read it.
+  /// exploration rate on the plan, where the epoch's stats read it.
   virtual void prepare_epoch(EnvConfig& env, rl::CollectionPlan& plan) const = 0;
 
   /// Consume the epoch's sequences (in sequence order; episodes may be

@@ -35,9 +35,12 @@ const std::vector<std::size_t>& submit_order(const sim::BackfillContext& ctx) {
   return q;
 }
 
-/// The synthetic stop row: the free fraction and the stop indicator.
-void fill_stop_row(double* row, const sim::BackfillContext& ctx) {
-  row[6] = ctx.cluster.free_fraction();
+/// The synthetic stop row of a zeroed buffer: the free fraction (when
+/// feature 6 is enabled) and the stop indicator (feature 8, which the
+/// builder requires with stop_action).
+void fill_stop_row(double* row, const sim::BackfillContext& ctx,
+                   const ObservationConfig& config) {
+  if (config.feature_enabled(6)) row[6] = ctx.cluster.free_fraction();
   row[8] = 1.0;
 }
 }  // namespace
@@ -110,7 +113,7 @@ void ObservationBuilder::build_policy_into(const sim::BackfillContext& ctx,
     // The stop row lives at the fixed last index so the flat (padded)
     // policy sees it at a stable position.
     const std::size_t stop_row = rows - 1;
-    fill_stop_row(obs + stop_row * kF, ctx);
+    fill_stop_row(obs + stop_row * kF, ctx, config_);
     po.mask[stop_row] = 1;
     po.row_to_candidate[stop_row] = kStopAction;
   }
@@ -149,7 +152,7 @@ void ObservationBuilder::build_selectable_into(const sim::BackfillContext& ctx,
     fill_row(obs + r * kF, ctx.candidates[po.row_to_candidate[r]], ctx);
   }
   if (config_.stop_action) {
-    fill_stop_row(obs + kept * kF, ctx);
+    fill_stop_row(obs + kept * kF, ctx, config_);
     po.row_to_candidate.push_back(kStopAction);
   }
 }

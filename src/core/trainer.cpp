@@ -53,8 +53,7 @@ EpochStats Trainer::run_epoch() {
   const std::size_t n_traj = config_.trajectories_per_epoch;
 
   // Pre-draw the per-trajectory seeds on the main thread so the epoch is
-  // deterministic regardless of worker interleaving — or, with a process
-  // transport, regardless of which worker serves which sequence.
+  // deterministic regardless of worker interleaving.
   rl::CollectionPlan plan;
   plan.epoch = epoch_ + 1;
   plan.seeds.resize(n_traj);

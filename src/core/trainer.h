@@ -101,9 +101,9 @@ class Trainer {
   const TrainerConfig& config() const { return config_; }
   const Learner& learner() const { return *learner_; }
 
-  /// Swap the rollout transport (borrowed; must outlive the trainer).
-  /// nullptr restores the default in-process ThreadCollector. The epoch
-  /// protocol is transport-independent: seeds are pre-drawn here and
+  /// Swap the collector (borrowed; must outlive the trainer). nullptr
+  /// restores the default ThreadCollector. The epoch protocol is
+  /// collector-independent: seeds are pre-drawn here and
   /// results consumed in sequence order, so any conforming collector
   /// yields byte-identical training.
   void set_collector(rl::Collector* collector) {

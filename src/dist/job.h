@@ -21,8 +21,8 @@
 // job reruns exactly what failed.
 //
 // The per-worker observability sidecars are one Sidecars value laid out
-// by one add_sidecars(), shared by both plan builders and the rollout
-// transport (dist/rollout.h), so every fan-out names them identically.
+// by one add_sidecars(), shared by both plan builders, so every fan-out
+// names them identically.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +75,8 @@ struct Sidecars {
 /// Point `job` at its sidecar files — <work_dir>/worker<job.id>
 /// .metrics.json / .trace.json / .series.jsonl, each only when
 /// requested — and append the matching --metrics_out/--trace_out/
-/// --series_out flags to its argv. Every fan-out (plan builders and
-/// dist::ProcessCollector) lays sidecars out through this one function.
+/// --series_out flags to its argv. Both plan builders lay sidecars out
+/// through this one function.
 void add_sidecars(JobSpec& job, const Sidecars& sidecars,
                   const std::string& work_dir);
 

@@ -14,10 +14,9 @@
 //                      driver; an optional fetch template ("scp -r
 //                      {host}:{remote} {local}") copies outputs back.
 //
-// Transport is the one description of that choice every fan-out shares
-// (`orchestrate`, `train --workers`, `train --rollout_workers`): the
-// CLI binds its flags straight into one, ProcessCollector carries one,
-// and make_launcher() turns it into the launcher.
+// Transport is the one description of that choice both fan-outs share
+// (`orchestrate` and `train --workers`): the CLI binds its flags
+// straight into one, and make_launcher() turns it into the launcher.
 //
 // Malformed inputs — hosts without a template or a template without
 // hosts, an empty or gappy --hosts list, a template without the

@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "dist/rollout.h"
 #include "exp/config.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -67,41 +66,6 @@ core::Agent load_init_agent(const std::string& ref, const Store& store,
                            "' (not a spec name, store key, or model file)");
 }
 
-/// The worker-side flags that reconstruct `spec`'s training setup in a
-/// collect-rollouts subprocess: the registered spec name plus the
-/// overrides the train CLI can apply (seed, trace size, trajectory
-/// length). Throws unless re-applying exactly those overrides to the
-/// registered spec reproduces `spec`'s canonical string — the proof
-/// that worker-side collection samples the same trace, environment, and
-/// reward shaping the learner would have used in-process.
-std::vector<std::string> rollout_worker_args(const TrainingSpec& spec) {
-  if (!TrainingRegistry::instance().contains(spec.name)) {
-    throw std::invalid_argument(
-        "train: --rollout_workers requires a registered training spec "
-        "(workers reconstruct the setup by name); '" +
-        spec.name + "' is not registered");
-  }
-  TrainingSpec rebuilt = find_training_spec(spec.name);
-  rebuilt.trainer.seed = spec.trainer.seed;
-  rebuilt.workload.trace_jobs = spec.workload.trace_jobs;
-  rebuilt.trainer.jobs_per_trajectory = spec.trainer.jobs_per_trajectory;
-  rebuilt.trainer.epochs = spec.trainer.epochs;
-  rebuilt.trainer.trajectories_per_epoch = spec.trainer.trajectories_per_epoch;
-  rebuilt.trainer.threads = spec.trainer.threads;
-  rebuilt.init_agent = spec.init_agent;
-  if (canonical_string(rebuilt) != canonical_string(spec)) {
-    throw std::invalid_argument(
-        "train: --rollout_workers cannot reproduce spec '" + spec.name +
-        "' from its registered definition plus CLI overrides — the spec "
-        "was modified beyond seed/jobs/traj_jobs/epochs/trajectories; "
-        "run in-process (--rollout_workers=0)");
-  }
-  return {"--spec=" + spec.name,
-          "--seed=" + std::to_string(spec.trainer.seed),
-          "--jobs=" + std::to_string(spec.workload.trace_jobs),
-          "--traj_jobs=" + std::to_string(spec.trainer.jobs_per_trajectory)};
-}
-
 /// Shared body of train_spec / train_on_trace: run the spec's algorithm
 /// over `trace` and commit the result under `key`.
 TrainOutcome run_training(const swf::Trace& trace, const TrainingSpec& spec,
@@ -114,18 +78,6 @@ TrainOutcome run_training(const swf::Trace& trace, const TrainingSpec& spec,
   core::TrainerConfig cfg = spec.trainer;
   if (options.threads != 0) cfg.threads = options.threads;
 
-  // The process rollout transport, when requested: every epoch's
-  // collection fans out to collect-rollouts subprocesses. Constructed
-  // before the trainer so malformed transport options fail fast.
-  std::unique_ptr<dist::ProcessCollector> collector;
-  if (options.rollout.workers > 0) {
-    dist::RolloutTransportOptions transport = options.rollout;
-    transport.worker_args = rollout_worker_args(spec);
-    transport.worker_args.insert(transport.worker_args.end(),
-                                 options.rollout.worker_args.begin(),
-                                 options.rollout.worker_args.end());
-    collector = std::make_unique<dist::ProcessCollector>(std::move(transport));
-  }
   std::optional<core::Agent> init;
   if (!spec.init_agent.empty()) {
     init.emplace(load_init_agent(spec.init_agent, store, spec.name));
@@ -133,22 +85,9 @@ TrainOutcome run_training(const swf::Trace& trace, const TrainingSpec& spec,
   const std::unique_ptr<core::Trainer> trainer =
       init ? std::make_unique<core::Trainer>(trace, cfg, *init)
            : std::make_unique<core::Trainer>(trace, cfg);
-  // The series recorder and the transport are pure observers the trainer
-  // consults per epoch. Workers load the learner's live agent from a
-  // per-epoch checkpoint (exact-text model format, so the round-trip is
-  // bit-exact).
+  // The series recorder is a pure observer the trainer consults per
+  // epoch.
   trainer->set_series(options.series);
-  if (collector) {
-    trainer->set_collector(collector.get());
-    collector->set_save_model(
-        [&agent = trainer->agent(), &spec](const std::string& path) {
-          if (!agent.save(path, {{"spec_name", spec.name},
-                                 {"rollout_checkpoint", "1"}})) {
-            throw std::runtime_error(
-                "rollout transport: cannot write model checkpoint " + path);
-          }
-        });
-  }
 
   // Best-so-far tracking: the trainer evaluates the *greedy* policy on
   // held-out sequences, and at an improving evaluation epoch the live
@@ -208,7 +147,6 @@ TrainOutcome run_training(const swf::Trace& trace, const TrainingSpec& spec,
 
   outcome.entry = store.put(key, trainer->agent(), spec.name, meta, canonical);
   outcome.epochs_run = history.size();
-  if (collector) outcome.rollout_jobs = collector->jobs();
   if (std::isfinite(best_eval)) outcome.best_eval_bsld = best_eval;
   std::error_code ec;
   std::filesystem::remove(ckpt, ec);  // superseded by the committed entry
@@ -236,13 +174,6 @@ TrainOutcome train_spec(const TrainingSpec& spec, Store& store,
 
 TrainOutcome train_on_trace(const swf::Trace& trace, const TrainingSpec& spec,
                             Store& store, const TrainOptions& options) {
-  if (options.rollout.workers > 0) {
-    // A collect-rollouts worker reconstructs its trace from the spec's
-    // workload fields; an explicit caller-built trace has no such recipe.
-    throw std::invalid_argument(
-        "train_on_trace: --rollout_workers is not supported with an "
-        "explicit trace (workers rebuild the trace from the spec)");
-  }
   // The spec's workload-construction fields describe nothing here — the
   // caller owns trace construction — so the content address hashes the
   // trainer protocol plus the trace itself.

@@ -3,9 +3,6 @@
 // the DQN/REINFORCE ablation arms), checkpoint best-so-far agents next to
 // the store entry, and commit the result under the spec's fingerprint. A
 // second call with an equal fingerprint is a cache hit and runs nothing.
-// TrainOptions::rollout moves each epoch's collection into worker
-// processes; it is a dist::RolloutTransportOptions as is, so the
-// executor adds only the spec's reconstruction flags to it.
 //
 // resolve_agent() is the deployment-side counterpart: it turns the agent
 // reference a ScenarioSpec carries (training-spec name, store key, or
@@ -20,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/rollout.h"
 #include "model/store.h"
 #include "model/training_spec.h"
 
@@ -60,21 +56,6 @@ struct TrainOptions {
   /// identical to an unsharded run. The default 0/1 is "everything".
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-
-  /// In-run distributed collection: with rollout.workers > 0 every
-  /// trainer epoch fans its rollouts out to `rlbf_run collect-rollouts`
-  /// subprocesses (dist::ProcessCollector) instead of the in-process
-  /// thread pool. The caller fills the whole transport — worker binary,
-  /// scratch dir, sidecars, Transport, supervisor — except the spec
-  /// reconstruction flags: train_spec puts those at the front of
-  /// rollout.worker_args, ahead of any the caller added (e.g.
-  /// --threads). Requires a REGISTERED spec — the worker reconstructs
-  /// the training setup from the spec name plus explicit overrides, and
-  /// train_spec verifies the reconstruction reproduces the learner's
-  /// canonical string before any worker launches. Results are
-  /// byte-identical to workers == 0 at any worker count (rl/collect.h
-  /// contract).
-  dist::RolloutTransportOptions rollout;
 };
 
 struct TrainOutcome {
@@ -87,10 +68,6 @@ struct TrainOutcome {
   /// single-spec entry points), so callers never recompute the
   /// partition to pair outcomes with specs.
   std::size_t spec_index = 0;
-  /// With TrainOptions::rollout.workers > 0: every collect-rollouts
-  /// worker job the run launched (sidecar paths included), so the caller
-  /// can merge fleet observability. Empty otherwise and on cache hits.
-  std::vector<dist::JobSpec> rollout_jobs;
 };
 
 /// Train one spec into the store (or return the cached entry). Throws

@@ -1,22 +1,22 @@
-// The collector seam of the actor/learner split: trajectory PRODUCTION
-// (sampling a sequence, simulating the baseline, rolling the policy out)
-// is separated from trajectory CONSUMPTION (the PPO/DQN/REINFORCE
-// updates), so the same learner loop can collect over an in-process
-// thread pool or a fleet of worker processes without forking the three
-// trainer implementations.
+// The collector seam: trajectory PRODUCTION (sampling a sequence,
+// simulating the baseline, rolling the policy out) is separated from
+// trajectory CONSUMPTION (the PPO/DQN/REINFORCE updates), so the one
+// learner loop serves all three algorithms and a collector can be
+// wrapped (instrumented, replaced in tests) without touching it.
+// ThreadCollector, an in-process thread pool, is the one collector the
+// trainer runs.
 //
-// The determinism contract every transport must honor:
+// The determinism contract every collector must honor:
 //   * the learner pre-draws one seed per sequence on its own RNG stream
 //     (CollectionPlan::seeds), so nothing downstream consumes learner
 //     randomness;
 //   * a sequence's result is a pure function of (seed, trace, policy,
-//     model parameters, environment config) — never of which worker,
-//     thread, or host produced it;
+//     model parameters, environment config) — never of which thread
+//     produced it;
 //   * results come back indexed by sequence, in sequence order.
-// Under that contract every transport — any thread count, any worker
-// count — produces byte-identical epochs, which is what keeps model
-// store keys and golden benches stable across --threads and
-// --rollout_workers.
+// Under that contract every thread count produces byte-identical
+// epochs, which is what keeps model store keys and golden benches
+// stable across --threads.
 #pragma once
 
 #include <cstdint>
@@ -38,43 +38,40 @@ struct SequenceResult {
 };
 
 /// One epoch's collection request. The seeds are pre-drawn by the
-/// learner (sequence i always collects with seeds[i]); epoch and epsilon
-/// exist for transports that must reproduce the learner's per-epoch
-/// environment remotely (epsilon is the DQN exploration rate; NaN when
-/// the algorithm has none).
+/// learner (sequence i always collects with seeds[i]).
+/// Learner::prepare_epoch reads `epoch` to set `epsilon`, the DQN
+/// exploration rate (NaN when the algorithm has none), which the
+/// epoch's stats report.
 struct CollectionPlan {
   std::vector<std::uint64_t> seeds;
-  std::size_t epoch = 0;  // 1-based epoch being collected (labels/files)
+  std::size_t epoch = 0;  // 1-based epoch being collected
   double epsilon = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// Produce sequence `index` with `seed`. `slot` addresses the
 /// caller-provisioned model replica the sequence may read
-/// (0 <= slot < Collector::slots()); transports that never invoke the
-/// function in-process report zero slots and ignore it.
+/// (0 <= slot < Collector::slots()).
 using SequenceFn =
     std::function<SequenceResult(std::size_t index, std::uint64_t seed,
                                  std::size_t slot)>;
 
-/// A rollout transport. collect() returns exactly
+/// A rollout collector. collect() returns exactly
 /// plan.seeds.size() results in sequence order.
 class Collector {
  public:
   virtual ~Collector() = default;
 
-  /// How many in-process replica slots the caller must provision before
-  /// collect() (model replicas are read concurrently, so each slot gets
-  /// a private copy). 0 means the transport never runs fn locally.
+  /// How many replica slots the caller must provision before collect()
+  /// (model replicas are read concurrently, so each slot gets a private
+  /// copy).
   virtual std::size_t slots(std::size_t n_sequences) const = 0;
 
   virtual std::vector<SequenceResult> collect(const CollectionPlan& plan,
                                               const SequenceFn& fn) = 0;
 };
 
-/// The in-process transport: today's thread-pool collection, verbatim.
-/// Sequence t runs on replica slot t % slots — the exact replica
-/// assignment the pre-seam trainers used — so refactored epochs are
-/// bit-identical to the originals.
+/// The thread-pool collector. Sequence t runs on replica slot
+/// t % slots, so an epoch is bit-identical at any pool size.
 class ThreadCollector : public Collector {
  public:
   /// `pool` must outlive the collector.

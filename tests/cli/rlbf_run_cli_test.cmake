@@ -44,6 +44,24 @@ function(expect_failure case pattern)
   endif()
 endfunction()
 
+# expect_usage_error(<case name> <stderr regex> <args...>): exactly exit 2.
+function(expect_usage_error case pattern)
+  execute_process(
+    COMMAND "${RLBF_RUN}" ${ARGN}
+    WORKING_DIRECTORY "${WORK_DIR}"
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2 OR NOT "${err}" MATCHES "${pattern}")
+    math(EXPR failures "${failures} + 1")
+    set(failures ${failures} PARENT_SCOPE)
+    message(WARNING "${case}: expected exit 2 and '${pattern}', got '${rc}': "
+                    "${err}")
+  else()
+    message(STATUS "${case}: ok (exit 2)")
+  endif()
+endfunction()
+
 # expect_success(<case name> <args...>)
 function(expect_success case)
   execute_process(
@@ -241,7 +259,7 @@ expect_success("help overview" help)
 execute_process(COMMAND "${RLBF_RUN}" help OUTPUT_VARIABLE overview)
 string(REGEX MATCHALL "\n  [a-z-]+ " listed "${overview}")
 list(LENGTH listed listed_n)
-if(listed_n LESS 9)
+if(listed_n LESS 8)
   math(EXPR failures "${failures} + 1")
   message(WARNING "help overview lists ${listed_n} command(s):\n${overview}")
 endif()
@@ -254,21 +272,21 @@ expect_failure("help unknown command" "unknown command 'frob'" help frob)
 expect_failure("unknown command lists help" "help"
                definitely-not-a-command)
 # The retired `bench` command (the repository benchmark is perfbench/)
-# is gone from dispatch and from the help overview alike: both read the
-# one command table.
-execute_process(COMMAND "${RLBF_RUN}" bench
-                OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
-if(NOT rc EQUAL 2 OR NOT "${err}" MATCHES "unknown command 'bench'")
-  math(EXPR failures "${failures} + 1")
-  message(WARNING "retired bench: expected exit 2 and \"unknown command "
-                  "'bench'\", got '${rc}': ${err}")
-else()
-  message(STATUS "retired bench: ok (exit 2)")
-endif()
-if("${overview}" MATCHES "\n  bench ")
-  math(EXPR failures "${failures} + 1")
-  message(WARNING "help overview still lists bench:\n${overview}")
-endif()
+# and the retired rollout worker `collect-rollouts` (training collects
+# in-process only) are gone from dispatch and from the help overview
+# alike: both read the one command table. The retired
+# `--rollout_workers` flag is an unknown flag, never silently accepted.
+foreach(retired bench collect-rollouts)
+  expect_usage_error("retired ${retired}" "unknown command '${retired}'"
+                     ${retired})
+  if("${overview}" MATCHES "\n  ${retired} ")
+    math(EXPR failures "${failures} + 1")
+    message(WARNING "help overview still lists ${retired}:\n${overview}")
+  endif()
+endforeach()
+expect_usage_error("retired --rollout_workers"
+                   "unknown flag: --rollout_workers"
+                   train --spec=sdsc-tiny --rollout_workers=2)
 
 # Sanity: the catalog listings still succeed from this harness.
 expect_success("run --list" run --list)

@@ -15,6 +15,10 @@
 #      every format, on raw series files and on store-meta curves.
 #   5. The merged fleet series carries the supervisor's per-job series,
 #      and the strict reader rejects garbage with a named error.
+#   6. The DQN and REINFORCE arms (abl-rl-dqn, abl-rl-reinforce) train
+#      byte-identical .model/.spec files at --threads=1 and --threads=2,
+#      and DQN's series show a nonzero train.loss at step 1: its replay
+#      fills in epoch 1, so every epoch takes real gradient steps.
 #
 #   cmake -DRLBF_RUN=<binary> -DWORK_DIR=<scratch> -P series_test.cmake
 
@@ -214,7 +218,54 @@ run_case("curves on the fleet series" 0 fleet_curves curves fleet.series.jsonl)
 expect_match("fleet curves show tagged labels" "${fleet_curves}"
              "supervisor/dist\\.job_seconds")
 
-# ---- 6. the strict reader names garbage ------------------------------
+# ---- 6. DQN/REINFORCE: thread-count parity, DQN trains from epoch 1 --
+# expect_same_payload(<case> <store a> <store b>): the same .model/.spec
+# file set in both stores, every file byte-identical.
+function(expect_same_payload case a b)
+  file(GLOB a_files RELATIVE "${a}" "${a}/*.model" "${a}/*.spec")
+  file(GLOB b_files RELATIVE "${b}" "${b}/*.model" "${b}/*.spec")
+  list(SORT a_files)
+  list(SORT b_files)
+  if("${a_files}" STREQUAL "" OR NOT "${a_files}" STREQUAL "${b_files}")
+    math(EXPR failures "${failures} + 1")
+    set(failures ${failures} PARENT_SCOPE)
+    message(WARNING "${case}: payload sets differ: [${a_files}] vs [${b_files}]")
+    return()
+  endif()
+  foreach(f ${a_files})
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E compare_files "${a}/${f}" "${b}/${f}"
+      RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+      math(EXPR failures "${failures} + 1")
+      set(failures ${failures} PARENT_SCOPE)
+      message(WARNING "${case}: ${f} differs")
+      return()
+    endif()
+  endforeach()
+  message(STATUS "${case}: .model/.spec byte-identical")
+endfunction()
+
+foreach(arm abl-rl-dqn abl-rl-reinforce)
+  set(arm_budget --spec=${arm} --epochs=3 --trajectories=16 --traj_jobs=256
+      --jobs=2000 --quiet)
+  run_case("${arm} at 1 thread" 0 arm_t1 train ${arm_budget} --threads=1
+           --store=store_${arm}_t1 --series_out=${arm}.series.jsonl)
+  run_case("${arm} at 2 threads" 0 arm_t2 train ${arm_budget} --threads=2
+           --store=store_${arm}_t2)
+  expect_same_payload("${arm}: --threads=1 vs 2"
+                      "${WORK_DIR}/store_${arm}_t1" "${WORK_DIR}/store_${arm}_t2")
+endforeach()
+file(STRINGS "${WORK_DIR}/abl-rl-dqn.series.jsonl" dqn_loss
+     REGEX "\"train\\.loss\", \"step\": 1,")
+if(NOT dqn_loss MATCHES "\"value\": " OR dqn_loss MATCHES "\"value\": 0,")
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "abl-rl-dqn took no gradient step in epoch 1: '${dqn_loss}'")
+else()
+  message(STATUS "abl-rl-dqn trains from epoch 1: ${dqn_loss}")
+endif()
+
+# ---- 7. the strict reader names garbage ------------------------------
 file(WRITE "${WORK_DIR}/garbage.jsonl" "this is not a series file\n")
 run_case("curves rejects garbage" 1 garbage_out curves garbage.jsonl)
 

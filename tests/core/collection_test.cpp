@@ -1,9 +1,9 @@
-// Transport-parity proof at the trainer level: for each algorithm
+// Collector-parity proof at the trainer level: for each algorithm
 // (PPO, DQN, REINFORCE) the epochs produced through the collector seam
 // are bit-identical across thread counts — same stats to the last bit,
 // same agent parameters byte-for-byte after training. This is the
-// in-process half of the determinism contract in rl/collect.h; the
-// cli_rollout_workers smoke extends it across process boundaries.
+// determinism contract in rl/collect.h; the cli_series smoke checks
+// the same for trained DQN/REINFORCE store files through rlbf_run.
 #include "core/collection.h"
 
 #include <gtest/gtest.h>
@@ -48,7 +48,7 @@ class CollectionParityTest : public ::testing::Test {
 };
 
 /// Shared shrunken budget: 2 epochs of 6×64-job sequences, evaluation
-/// off (held-out evals add wall time but no transport coverage).
+/// off (held-out evals add wall time but no collection coverage).
 TrainerConfig tiny(const std::string& algorithm, std::size_t threads) {
   TrainerConfig cfg;
   cfg.algorithm = algorithm;
@@ -128,8 +128,8 @@ TEST_F(CollectionParityTest, ReinforceEpochsAreBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(CollectionParityTest, SwappingInAnEquivalentCollectorChangesNothing) {
-  // set_collector is the transport seam the process fan-out plugs into:
-  // an externally-supplied ThreadCollector must reproduce the built-in
+  // set_collector is the seam a wrapping collector plugs into: an
+  // externally-supplied ThreadCollector must reproduce the built-in
   // default exactly, and nullptr must restore the default.
   const swf::Trace trace = workload::sdsc_sp2_like(5, 1500);
   auto cfg = tiny("ppo", 2);

@@ -223,9 +223,9 @@ TEST_F(AltTrainersTest, UnknownAlgorithmRejected) {
   EXPECT_THROW(Trainer(trace, cfg), std::invalid_argument);
 }
 
-// The per-epoch environment every transport reproduces (collect-rollouts
-// calls the same prepare_epoch): PPO collects under config.env as given,
-// DQN epsilon-greedily at the decayed rate, REINFORCE by softmax sampling.
+// The per-epoch environment each learner sets for collection: PPO
+// collects under config.env as given, DQN epsilon-greedily at the
+// decayed rate, REINFORCE by softmax sampling.
 TEST_F(AltTrainersTest, LearnersForceTheirCollectionEnv) {
   const Agent agent(AgentConfig{}, 3);
   EnvConfig base;

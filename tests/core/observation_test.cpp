@@ -161,6 +161,25 @@ TEST(Observation, StopRowAppendedWhenEnabled) {
   for (std::size_t r = 0; r < stop; ++r) EXPECT_DOUBLE_EQ(po.obs.at(r, 8), 0.0);
 }
 
+TEST(Observation, StopRowHonoursADisabledFreeFraction) {
+  ObservationConfig cfg;
+  cfg.stop_action = true;
+  cfg.feature_mask = 0x3FFu & ~(1u << 6);
+  const ContextFixture fx = standard_fixture();
+  const ObservationBuilder builder(cfg);
+  PolicyObservation full;
+  PolicyObservation selectable;
+  builder.build_policy_into(fx.context(), full, false);
+  builder.build_selectable_into(fx.context(), selectable);
+  for (const PolicyObservation* po : {&full, &selectable}) {
+    ASSERT_EQ(po->row_to_candidate.back(), kStopAction);
+    EXPECT_DOUBLE_EQ(po->obs.at(po->obs.rows() - 1, 8), 1.0);
+    for (std::size_t r = 0; r < po->obs.rows(); ++r) {
+      EXPECT_EQ(po->obs.at(r, 6), 0.0) << "row " << r;
+    }
+  }
+}
+
 TEST(Observation, StopRowAtFixedIndexWhenPadded) {
   ObservationConfig cfg;
   cfg.stop_action = true;

@@ -100,12 +100,12 @@ TEST(PlanTest, SidecarsLiveAtTheWorkDirRootNamedByJobId) {
   const dist::JobSpec bare = dist::plan_sweep_jobs(sweep_options())[2];
   EXPECT_EQ(bare.argv.size() + 2, job.argv.size());
   EXPECT_TRUE(bare.metrics_path.empty() && bare.series_path.empty());
-  // The collector-side helper lays out the same files by job id.
-  dist::JobSpec rollout;
-  rollout.id = 7;
-  dist::add_sidecars(rollout, {false, true, false}, "w");
-  EXPECT_EQ(rollout.trace_path, "w/worker7.trace.json");
-  EXPECT_EQ(rollout.argv,
+  // The helper itself lays out the same files by job id.
+  dist::JobSpec direct;
+  direct.id = 7;
+  dist::add_sidecars(direct, {false, true, false}, "w");
+  EXPECT_EQ(direct.trace_path, "w/worker7.trace.json");
+  EXPECT_EQ(direct.argv,
             (std::vector<std::string>{"--trace_out=w/worker7.trace.json"}));
 }
 

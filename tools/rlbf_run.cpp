@@ -62,12 +62,9 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/collection.h"
-#include "core/learner.h"
 #include "dist/job.h"
 #include "dist/launcher.h"
 #include "dist/orchestrator.h"
-#include "dist/rollout.h"
 #include "exp/config.h"
 #include "exp/scenario.h"
 #include "exp/shard.h"
@@ -75,7 +72,6 @@
 #include "exp/sweep.h"
 #include "model/store.h"
 #include "model/train.h"
-#include "rl/wire.h"
 #include "obs/json.h"
 #include "obs/merge.h"
 #include "obs/metrics.h"
@@ -687,10 +683,10 @@ std::map<std::size_t, std::size_t> parse_inject_fail(const std::string& text) {
   return inject;
 }
 
-/// The fan-out knobs all three fan-outs share — `orchestrate`,
-/// `train --workers` and `train --rollout_workers` bind this one
-/// definition and build their supervisor, worker binary, thread split
-/// and transport from it, so they cannot drift apart flag by flag.
+/// The fan-out knobs both fan-outs share — `orchestrate` and
+/// `train --workers` bind this one definition and build their
+/// supervisor, worker binary, thread split and transport from it, so
+/// they cannot drift apart flag by flag.
 struct FanoutFlags {
   std::size_t workers = 1;
   std::size_t retries = 1;
@@ -809,7 +805,6 @@ std::string trim_trailing_slashes(std::string path) {
 
 struct TrainArgs : FanoutFlags, ObsFlags {
   bool list = false;
-  std::size_t rollout_workers = 0;
   std::string spec_names;
   bool ablations = false;
   std::string store_root;
@@ -858,11 +853,6 @@ struct TrainArgs : FanoutFlags, ObsFlags {
                "after training, pack this invocation's entries into a "
                "portable bundle directory (what orchestrated workers ship "
                "back for collection)");
-    parser.add("--rollout_workers", &rollout_workers,
-               "actor/learner split: keep the PPO/DQN/REINFORCE update "
-               "in-process but fan every epoch's rollout collection out to "
-               "this many collect-rollouts worker processes (0 = in-process "
-               "threads; any value trains byte-identical results)");
     bind_fanout(parser,
                 "fan the spec grid out over this many concurrent worker "
                 "processes (local pool, or --command_template over --hosts); "
@@ -915,21 +905,6 @@ int train(int argc, char** argv) {
   }
   if (const std::string err = args.transport.pairing_error(); !err.empty()) {
     std::cerr << "rlbf_run train: " << err << "\n";
-    return 2;
-  }
-  if (args.rollout_workers > 0 && args.workers > 1) {
-    std::cerr << "rlbf_run train: --rollout_workers and --workers are "
-                 "exclusive (--workers fans out whole specs to private "
-                 "stores; --rollout_workers fans out each epoch's rollout "
-                 "collection under one in-process learner)\n";
-    return 2;
-  }
-  if (args.rollout_workers > 0 &&
-      (args.ablations ||
-       split_names(args.spec_names, "--spec").size() != 1)) {
-    std::cerr << "rlbf_run train: --rollout_workers trains exactly one "
-                 "--spec=NAME per invocation (the rollout scratch dir and "
-                 "worker job ids are per-run)\n";
     return 2;
   }
   if (args.workers > 1 && !args.export_bundle.empty()) {
@@ -1073,28 +1048,6 @@ int train(int argc, char** argv) {
   // observer; results and store bytes are identical either way.
   if (!args.series_out.empty()) options.series = &series_recorder();
 
-  // The actor/learner split: collection fans out to collect-rollouts
-  // subprocesses, the update stays in this process. Byte-identical to
-  // --rollout_workers=0 by the rl/collect.h determinism contract.
-  std::string rollout_work_dir;
-  if (args.rollout_workers > 0) {
-    rollout_work_dir = args.scratch_dir(
-        trim_trailing_slashes(model::default_store_root()) + ".rollouts");
-    dist::RolloutTransportOptions& rollout = options.rollout;
-    rollout.workers = args.rollout_workers;
-    rollout.worker = args.worker();
-    rollout.work_dir = rollout_work_dir;
-    // The learner sleeps during collection: the workers split the hardware.
-    if (const std::size_t threads =
-            args.worker_threads(args.threads, args.rollout_workers)) {
-      rollout.worker_args = {"--threads=" + std::to_string(threads)};
-    }
-    rollout.sidecars = args.sidecars();
-    // A malformed host list or template fails now, even on a cache hit.
-    args.transport.make_launcher();
-    rollout.transport = args.transport;
-    rollout.supervisor = args.supervisor(args.quiet, !args.series_out.empty());
-  }
   if (!args.quiet) {
     // Per-epoch progress goes through util::log (stderr, leveled,
     // optional elapsed prefix) like every other progress surface; the
@@ -1150,142 +1103,6 @@ int train(int argc, char** argv) {
               << (exported.size() == 1 ? "y" : "ies") << " to "
               << args.export_bundle << "/\n";
   }
-  if (args.rollout_workers > 0) {
-    // Fleet rollup over every collect-rollouts job this run launched,
-    // then scratch cleanup — same order as the fan-out modes (the
-    // sidecars live in the scratch dir).
-    std::vector<dist::JobSpec> rollout_jobs;
-    for (const model::TrainOutcome& out : outcomes) {
-      rollout_jobs.insert(rollout_jobs.end(), out.rollout_jobs.begin(),
-                          out.rollout_jobs.end());
-    }
-    const int obs_rc = save_fleet_obs(args, rollout_jobs);
-    args.cleanup_scratch(rollout_work_dir);
-    return obs_rc;
-  }
-  return args.save_obs();
-}
-
-// --------------------------------------------------- collect-rollouts
-
-/// The rollout worker of the actor/learner split: reconstruct one
-/// registered training spec's collection setup (trace, base policy,
-/// environment — mirroring the trainer constructors exactly), load the
-/// learner's per-epoch model checkpoint, produce the requested seed
-/// subset over an in-process thread pool, and ship the results back as
-/// a fingerprinted wire file (rl/wire.h). Launched by
-/// `train --rollout_workers=N` through dist::ProcessCollector.
-struct CollectRolloutsArgs : ObsFlags {
-  std::string spec_name;
-  std::uint64_t seed = 0;
-  std::size_t jobs = 0;
-  std::size_t traj_jobs = 0;
-  std::size_t threads = 0;
-  std::string seeds_text;
-  std::string model_path;
-  std::string out_path;
-  std::string fingerprint;
-  std::size_t epoch = 0;
-  double epsilon = std::numeric_limits<double>::quiet_NaN();
-
-  exp::ArgParser make_parser() {
-    exp::ArgParser parser(
-        "rlbf_run collect-rollouts",
-        "Rollout worker for `train --rollout_workers`: reconstruct a "
-        "registered training spec's collection setup, load the learner's "
-        "model checkpoint, collect the given per-sequence seeds, and "
-        "write the fingerprinted rollout wire file the supervisor "
-        "reassembles in sequence order.");
-    parser.add("--spec", &spec_name,
-               "registered training spec name (required)");
-    parser.add("--seed", &seed,
-               "training seed override (0 = the spec's own; the supervisor "
-               "always passes the effective seed)");
-    parser.add("--jobs", &jobs, "override the training trace length (0 = keep)");
-    parser.add("--traj_jobs", &traj_jobs,
-               "override jobs per trajectory (0 = keep)");
-    parser.add("--threads", &threads,
-               "collection threads (0 = hardware; never changes the result)");
-    parser.add("--seeds", &seeds_text,
-               "comma-separated per-sequence seeds, in sequence order "
-               "(required)");
-    parser.add("--model", &model_path,
-               "the learner's model checkpoint to collect with (required)");
-    parser.add("--epoch", &epoch,
-               "1-based epoch being collected (sets the DQN exploration rate)");
-    parser.add("--out", &out_path,
-               "where the rollout wire file goes (required)");
-    parser.add("--fingerprint", &fingerprint,
-               "request fingerprint embedded in the wire file (the "
-               "supervisor rejects a response carrying any other)");
-    parser.add("--epsilon", &epsilon,
-               "DQN exploration rate for this epoch (required for dqn specs; "
-               "must match --epoch)");
-    bind_obs(parser);
-    return parser;
-  }
-};
-
-int collect_rollouts(int argc, char** argv) {
-  CollectRolloutsArgs args;
-  exp::ArgParser parser = args.make_parser();
-  parser.parse_or_exit(argc, argv);
-  args.activate_obs();
-  if (args.spec_name.empty() || args.seeds_text.empty() ||
-      args.model_path.empty() || args.out_path.empty()) {
-    std::cerr << "rlbf_run collect-rollouts: pass --spec, --seeds, --model, "
-                 "and --out\n\n"
-              << parser.usage();
-    return 2;
-  }
-  model::TrainingSpec spec = model::find_training_spec(args.spec_name);
-  if (args.seed != 0) spec.trainer.seed = args.seed;
-  if (args.jobs > 0) spec.workload.trace_jobs = args.jobs;
-  if (args.traj_jobs > 0) spec.trainer.jobs_per_trajectory = args.traj_jobs;
-
-  // The agent comes entirely from the checkpoint: observation and
-  // network configuration travel in the model file, so warm starts and
-  // masking reconciliation are the learner's business, not ours.
-  core::Agent agent = core::Agent::load(args.model_path);
-  const std::shared_ptr<const swf::Trace> trace =
-      exp::build_trace_cached(spec.workload, spec.trainer.seed);
-  const std::unique_ptr<sim::PriorityPolicy> policy =
-      sched::make_policy(spec.trainer.base_policy);
-  sched::RequestTimeEstimator estimator;
-
-  rl::CollectionPlan plan;
-  plan.seeds = dist::parse_seed_list(args.seeds_text);
-  plan.epoch = args.epoch;
-  core::CollectionContext ctx;
-  ctx.trace = trace.get();
-  ctx.policy = policy.get();
-  ctx.estimator = &estimator;
-  ctx.env = spec.trainer.env;
-  ctx.jobs_per_trajectory = spec.trainer.jobs_per_trajectory;
-  // The epoch's selection mode and exploration rate come from the same
-  // Learner::prepare_epoch the in-process trainer calls; the rate the
-  // supervisor passed must agree with it.
-  core::make_learner(spec.trainer, agent.model(), nullptr)->prepare_epoch(ctx.env, plan);
-  const bool same_rate = plan.epsilon == args.epsilon ||
-                         (std::isnan(plan.epsilon) && std::isnan(args.epsilon));
-  if (!same_rate) {
-    std::cerr << "rlbf_run collect-rollouts: --epsilon does not match epoch "
-              << args.epoch << "'s exploration rate for spec '" << spec.name
-              << "' (the supervisor passes the learner's rate)\n";
-    return 2;
-  }
-
-  util::ThreadPool pool(args.threads);
-  rl::ThreadCollector collector(pool);
-  const std::vector<rl::SequenceResult> results =
-      core::collect_sequences(collector, plan, ctx, agent);
-
-  std::error_code ec;
-  std::filesystem::create_directories(
-      std::filesystem::path(args.out_path).parent_path(), ec);
-  rl::save_rollouts(args.out_path, results, args.fingerprint);
-  std::cout << "# collected " << results.size() << " sequence(s) (epoch "
-            << args.epoch << ") -> " << args.out_path << "\n";
   return args.save_obs();
 }
 
@@ -1987,10 +1804,6 @@ const std::vector<Command>& command_table() {
        [] { return OrchestrateArgs{}.make_parser().usage(); }, orchestrate},
       {"train", "train specs into the model store (sharded or fanned out)",
        [] { return TrainArgs{}.make_parser().usage(); }, train},
-      {"collect-rollouts",
-       "rollout worker behind train --rollout_workers (actor/learner split)",
-       [] { return CollectRolloutsArgs{}.make_parser().usage(); },
-       collect_rollouts},
       {"models", "list and maintain the model store",
        [] { return ModelsArgs{}.make_parser().usage(); }, models},
       {"profile", "self-time table per span name from a trace file",
